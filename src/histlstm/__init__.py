@@ -5,12 +5,10 @@ from .cells import (
     HeadParams,
     LstmParams,
     LstmState,
-    RnnParams,
     head_predict,
     init_head,
     init_lstm_params,
     lstm_step,
-    rnn_step,
 )
 from .dataio import (
     Dataset,
@@ -35,7 +33,6 @@ from .historical import (
 from .network import (
     ForwardTrace,
     StackedNetwork,
-    apply_dropout,
     backward_sequence,
     build_network,
     forward_sequence,

@@ -1,4 +1,4 @@
-"""Stateless recurrent step functions: vanilla RNN and peephole LSTM.
+"""Stateless recurrent step functions: the peephole LSTM and its heads.
 
 Parameters are plain float64 numpy arrays held in dataclasses. Step
 functions are pure: they never mutate their inputs, so one parameter set
@@ -7,33 +7,13 @@ can serve many concurrent sequence evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ShapeError, affine, sigmoid, softmax, tanh
+from .numerics import ShapeError, affine, sigmoid, softmax
 
-ACTIVATIONS = ("tanh", "sigmoid")
 PEEPHOLE_MODES = ("diag", "full")
-
-
-@dataclass
-class RnnParams:
-    """Vanilla recurrent cell: h_t = g(b + W h_prev + U x)."""
-
-    U: np.ndarray  # input -> hidden
-    W: np.ndarray  # hidden -> hidden
-    b: np.ndarray
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        r = self.U.shape[0]
-        if not (self.W.shape == (r, r) and self.b.shape == (r,)):
-            raise ShapeError(
-                f"inconsistent RNN shapes U={self.U.shape} W={self.W.shape} b={self.b.shape}"
-            )
 
 
 @dataclass
@@ -130,11 +110,6 @@ def peep_apply(P: np.ndarray, c: np.ndarray) -> np.ndarray:
     return P * c if P.ndim == 1 else P @ c
 
 
-def rnn_step(p: RnnParams, h_prev: np.ndarray, x: np.ndarray) -> np.ndarray:
-    z = affine(p.U, x, p.b) + affine(p.W, h_prev, np.zeros(p.b.shape[0]))
-    return tanh(z) if p.activation == "tanh" else sigmoid(z)
-
-
 def head_predict(head: HeadParams, h: np.ndarray) -> np.ndarray:
     """softmax(c + V h)."""
     return softmax(affine(head.V, h, head.c))
@@ -153,10 +128,10 @@ def lstm_step(p: LstmParams, s_prev: LstmState, x: np.ndarray) -> LstmState:
         raise ShapeError(f"state has shape {s_prev.h.shape}, cell expects {(p.units,)}")
     i = sigmoid(p.U_i @ x + p.W_i @ s_prev.h + peep_apply(p.P_i, s_prev.c) + p.b_i)
     f = sigmoid(p.U_f @ x + p.W_f @ s_prev.h + peep_apply(p.P_f, s_prev.c) + p.b_f)
-    g = tanh(p.U_c @ x + p.W_c @ s_prev.h + p.b_c)
+    g = np.tanh(p.U_c @ x + p.W_c @ s_prev.h + p.b_c)
     c = f * s_prev.c + i * g
     o = sigmoid(p.U_o @ x + p.W_o @ s_prev.h + peep_apply(p.P_o, c) + p.b_o)
-    h = o * tanh(c)
+    h = o * np.tanh(c)
     return LstmState(h=h, c=c)
 
 

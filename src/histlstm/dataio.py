@@ -144,6 +144,13 @@ def read_fseq(path: str) -> FeatureSequence:
     return FeatureSequence(frames=frames, label=label, id=os.path.basename(path))
 
 
+def _int_field(text: str, where: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: {what} {text!r} is not an integer") from None
+
+
 def load_manifest(path: str) -> Dataset:
     """Text manifest: a `classes N` header line, then one record per line as
     `relative-path label [fold]`. Blank lines and #-comments are skipped.
@@ -167,7 +174,7 @@ def load_manifest(path: str) -> Dataset:
                 raise ValueError(
                     f"{path}:{lineno}: expected a `classes N` header, got {text!r}"
                 )
-            n_classes = int(parts[1])
+            n_classes = _int_field(parts[1], f"{path}:{lineno}", "class count")
             if n_classes < 1:
                 raise ValueError(f"{path}:{lineno}: class count must be >= 1")
             continue
@@ -176,12 +183,7 @@ def load_manifest(path: str) -> Dataset:
                 f"{path}:{lineno}: expected `path label [fold]`, got {text!r}"
             )
         rel, label_s = parts[0], parts[1]
-        try:
-            label = int(label_s)
-        except ValueError:
-            raise ValueError(
-                f"{path}:{lineno}: label {label_s!r} is not an integer"
-            ) from None
+        label = _int_field(label_s, f"{path}:{lineno}", "label")
         if not 0 <= label < n_classes:
             raise ValueError(
                 f"{path}:{lineno}: label {label} out of range for classes={n_classes}"
@@ -204,7 +206,8 @@ def load_manifest(path: str) -> Dataset:
             )
         seq.id = rel
         sequences.append(seq)
-        folds.append(int(parts[2]) if len(parts) == 3 else None)
+        fold = _int_field(parts[2], f"{path}:{lineno}", "fold") if len(parts) == 3 else None
+        folds.append(fold)
     if n_classes is None:
         raise ValueError(f"{path}: empty manifest (no `classes N` header)")
     have_folds = [f is not None for f in folds]

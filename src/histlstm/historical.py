@@ -148,6 +148,34 @@ def initial_trace(h1: np.ndarray, loss_fn: LossFn) -> HistoricalTrace:
     )
 
 
+def _step(
+    trace: HistoricalTrace,
+    h_t: np.ndarray,
+    alpha: Optional[float],
+    weights: Optional[np.ndarray],
+    make_record: Callable[[np.ndarray], StepRecord],
+) -> HistoricalTrace:
+    """The recursion itself, shared by live and replayed updates: append h_t,
+    form l_t by blending with alpha or, when weights are given, as the
+    weighted buffer sum, and store the StepRecord make_record(l_t) returns.
+    """
+    buffer = trace.h_buffer + [h_t]
+    if weights is None:
+        l_new = alpha * h_t + (1.0 - alpha) * trace.l
+    else:
+        l_new = np.zeros_like(trace.l)
+        for k in range(len(buffer)):
+            l_new += weights[k] * buffer[k]
+    rec = make_record(l_new)
+    return HistoricalTrace(
+        l=l_new,
+        h_buffer=buffer,
+        eps_l=rec.eps_l_new,
+        records=trace.records + [rec],
+        l_history=trace.l_history + [l_new],
+    )
+
+
 def historical_update(
     trace: HistoricalTrace,
     h_t: np.ndarray,
@@ -160,48 +188,37 @@ def historical_update(
     Appends h_t to the buffer, takes the blend or truncation branch on the
     loss comparison, re-scores the new state through loss_fn, and returns a
     new trace. A literal window that is still degenerate (t <= tau) falls
-    back to the sliding rule for that step.
+    back to the sliding rule for that step. A new state that is not finite
+    (the literal alpha can amplify l without bound) raises ValueError.
     """
     if h_t.shape != trace.l.shape:
         raise ShapeError(f"response {h_t.shape} does not match state {trace.l.shape}")
     if eps_h <= 0:
         raise ValueError(f"eps_h must be positive (floored), got {eps_h}")
-    buffer = trace.h_buffer + [h_t]
-    t = len(buffer)
+    t = trace.t + 1
     if eps_h >= trace.eps_l:
+        branch, w = "blend", None
         alpha = compute_alpha(trace.eps_l, eps_h, cfg.alpha_policy)
-        l_new = alpha * h_t + (1.0 - alpha) * trace.l
-        eps_l_new = loss_fn(l_new)
-        rec = StepRecord(
-            branch="blend",
-            eps_h=eps_h,
-            eps_l_prev=trace.eps_l,
-            eps_l_new=eps_l_new,
-            alpha=alpha,
-        )
     else:
-        try:
-            w = truncation_weights(t, cfg.tau, cfg.window_mode)
-        except DegenerateWindowError:
-            w = truncation_weights(t, cfg.tau, "sliding")
-        l_new = np.zeros_like(trace.l)
-        for k in range(t):
-            l_new += w[k] * buffer[k]
-        eps_l_new = loss_fn(l_new)
-        rec = StepRecord(
-            branch="trunc",
+        branch, alpha = "trunc", None
+        degenerate = cfg.window_mode == "literal" and t <= cfg.tau
+        w = truncation_weights(t, cfg.tau, "sliding" if degenerate else cfg.window_mode)
+
+    def make_record(l_new: np.ndarray) -> StepRecord:
+        if not np.isfinite(l_new).all():
+            raise ValueError(
+                f"historical state is not finite at step t={t} ({branch} branch, alpha={alpha})"
+            )
+        return StepRecord(
+            branch=branch,
             eps_h=eps_h,
             eps_l_prev=trace.eps_l,
-            eps_l_new=eps_l_new,
+            eps_l_new=loss_fn(l_new),
+            alpha=alpha,
             weights=w,
         )
-    return HistoricalTrace(
-        l=l_new,
-        h_buffer=buffer,
-        eps_l=eps_l_new,
-        records=trace.records + [rec],
-        l_history=trace.l_history + [l_new],
-    )
+
+    return _step(trace, h_t, alpha, w, make_record)
 
 
 def replay_update(
@@ -212,23 +229,9 @@ def replay_update(
     Used to evaluate the loss with the branch schedule pinned, which is the
     function the stop-gradient backward pass actually differentiates.
     """
-    buffer = trace.h_buffer + [h_t]
-    if record.branch == "blend":
-        l_new = record.alpha * h_t + (1.0 - record.alpha) * trace.l
-    elif record.branch == "trunc":
-        w = record.weights
-        l_new = np.zeros_like(trace.l)
-        for k in range(len(buffer)):
-            l_new += w[k] * buffer[k]
-    else:
+    if record.branch not in ("blend", "trunc"):
         raise ValueError(f"cannot replay branch {record.branch!r} mid-sequence")
-    return HistoricalTrace(
-        l=l_new,
-        h_buffer=buffer,
-        eps_l=record.eps_l_new,
-        records=trace.records + [record],
-        l_history=trace.l_history + [l_new],
-    )
+    return _step(trace, h_t, record.alpha, record.weights, lambda l_new: record)
 
 
 def inference_losses(

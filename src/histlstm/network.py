@@ -209,24 +209,6 @@ def build_network(
     )
 
 
-def apply_dropout(
-    h: np.ndarray, p: float, rng: Optional[np.random.Generator], training: bool
-) -> np.ndarray:
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
-
-    Evaluation mode is the identity, so inference never touches the mask
-    source.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return h
-    if rng is None:
-        raise ValueError("training-mode dropout needs a random generator")
-    mask = rng.random(h.shape) >= p
-    return h * mask / (1.0 - p)
-
-
 @dataclass
 class LayerTrace:
     """Everything one LSTM layer's forward pass must remember for BPTT."""
@@ -250,8 +232,6 @@ class ForwardTrace:
     aux_probs: list  # per layer: (T, C) for scored lower layers, else None
     final_src: np.ndarray  # the vector the final head saw (l_T or h_T)
     final_probs: np.ndarray  # (C,)
-    training: bool
-    label: Optional[int]
 
     @property
     def T(self) -> int:
@@ -339,49 +319,35 @@ def _run_historical(
     """Drive the historical recursion over one layer's responses.
 
     With replay_records the recorded branch schedule is applied verbatim and
-    neither losses nor policies are consulted.
+    neither losses nor policies are consulted. A live pass picks its scorer
+    once: state_loss(t) scores the states formed at step t, and losses(t,
+    hist) gives the (eps_h, eps_l) pair the branch decision compares.
     """
     h_head, l_head = _scoring_heads(net, k)
     cfg = net.hist_cfg
-    T = H.shape[0]
-    hist: Optional[HistoricalTrace] = None
-    for t in range(T):
-        if replay_records is not None:
-            rec = replay_records[t]
-            if t == 0:
-                hist = HistoricalTrace(
-                    l=H[0], h_buffer=[H[0]], eps_l=rec.eps_l_new,
-                    records=[rec], l_history=[H[0]],
-                )
-            else:
-                hist = replay_update(hist, H[t], rec, cfg)
-        elif training:
-            loss_fn = lambda s: step_loss(l_head, s, label)  # noqa: E731
-            if t == 0:
-                hist = initial_trace(H[0], loss_fn)
-            else:
-                eps_h = cross_entropy(step_probs[t], label)
-                hist = historical_update(hist, H[t], eps_h, cfg, loss_fn)
+    if replay_records is not None:
+        hist = initial_trace(H[0], lambda s: replay_records[0].eps_l_new)
+        for t in range(1, len(H)):
+            hist = replay_update(hist, H[t], replay_records[t], cfg)
+        return hist
+    if training:
+        state_loss = lambda t: lambda s: step_loss(l_head, s, label)  # noqa: E731
+        losses = lambda t, hist: (cross_entropy(step_probs[t], label), hist.eps_l)  # noqa: E731
+    else:
+        losses = lambda t, hist: inference_losses(  # noqa: E731
+            h_head, l_head, H[t], hist.l, cfg.inference_policy)
+        if cfg.inference_policy == "fixed_blend":
+            state_loss = lambda t: lambda s: 1.0  # noqa: E731
         else:
-            if t == 0:
-                if cfg.inference_policy == "fixed_blend":
-                    hist = initial_trace(H[0], lambda s: 1.0)
-                else:
-                    pseudo = int(np.argmax(step_probs[0]))
-                    hist = initial_trace(
-                        H[0], lambda s: step_loss(l_head, s, pseudo)
-                    )
-            else:
-                eps_h, eps_l = inference_losses(
-                    h_head, l_head, H[t], hist.l, cfg.inference_policy
-                )
-                patched = replace(hist, eps_l=eps_l)
-                if cfg.inference_policy == "fixed_blend":
-                    loss_fn = lambda s: 1.0  # noqa: E731
-                else:
-                    pseudo = int(np.argmax(step_probs[t]))
-                    loss_fn = lambda s: step_loss(l_head, s, pseudo)  # noqa: E731
-                hist = historical_update(patched, H[t], eps_h, cfg, loss_fn)
+            def state_loss(t):
+                pseudo = int(np.argmax(step_probs[t]))
+                return lambda s: step_loss(l_head, s, pseudo)
+    hist = initial_trace(H[0], state_loss(0))
+    for t in range(1, len(H)):
+        eps_h, eps_l = losses(t, hist)
+        if eps_l != hist.eps_l:  # the label-free stand-in rescored l_{t-1}
+            hist = replace(hist, eps_l=eps_l)
+        hist = historical_update(hist, H[t], eps_h, cfg, state_loss(t))
     return hist
 
 
@@ -473,8 +439,6 @@ def forward_sequence(
         aux_probs=aux_probs,
         final_src=final_src,
         final_probs=final_probs,
-        training=training,
-        label=label,
     )
 
 
@@ -749,6 +713,10 @@ def load_checkpoint(path: str) -> StackedNetwork:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     (n_layers,) = struct.unpack("<I", take(4))
     units = list(struct.unpack(f"<{n_layers}I", take(4 * n_layers)))
+    sizes = [("layer count", n_layers), ("input_dim", input_dim)]
+    for what, value in sizes + [(f"layer {k} units", u) for k, u in enumerate(units)]:
+        if value < 1:
+            raise ValueError(f"{path}: checkpoint declares {what} {value}")
     peep_i, place_i, use_hist, alpha_i, window_i, infer_i = struct.unpack(
         "<6B", take(6)
     )

@@ -53,10 +53,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def tanh(z: np.ndarray) -> np.ndarray:
-    return np.tanh(np.asarray(z, dtype=np.float64))
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     """Probability vector exp(z - max z) / sum; shift-invariant and overflow-safe."""
     z = as_vec(z)

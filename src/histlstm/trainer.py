@@ -60,6 +60,8 @@ class TrainConfig:
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
         object.__setattr__(self, "layer_units", tuple(int(u) for u in self.layer_units))
+        if any(u < 1 for u in self.layer_units):
+            raise ValueError(f"every layer needs >= 1 unit, got {self.layer_units}")
 
     def hist_cfg(self) -> HistoricalConfig:
         return HistoricalConfig(

@@ -7,12 +7,10 @@ from histlstm.cells import (
     HeadParams,
     LstmParams,
     LstmState,
-    RnnParams,
     head_predict,
     init_head,
     init_lstm_params,
     lstm_step,
-    rnn_step,
 )
 from histlstm.numerics import ShapeError, sigmoid
 
@@ -26,29 +24,6 @@ def scalar_lstm(w: float, peep: float, forget_bias: float = 0.0) -> LstmParams:
         b_i=np.zeros(1), b_f=np.full(1, forget_bias), b_c=np.zeros(1),
         b_o=np.zeros(1),
     )
-
-
-class TestRnnStep:
-    def test_zero_params_tanh(self):
-        p = RnnParams(U=np.zeros((3, 2)), W=np.zeros((3, 3)), b=np.zeros(3))
-        out = rnn_step(p, np.ones(3), np.ones(2))
-        assert np.array_equal(out, np.zeros(3))
-
-    def test_scalar_hand_case(self):
-        p = RnnParams(U=np.ones((1, 1)), W=np.ones((1, 1)), b=np.zeros(1))
-        out = rnn_step(p, np.zeros(1), np.array([0.5]))
-        assert abs(out[0] - math.tanh(0.5)) < 1e-15
-
-    def test_zero_params_sigmoid(self):
-        p = RnnParams(U=np.zeros((2, 2)), W=np.zeros((2, 2)), b=np.zeros(2),
-                      activation="sigmoid")
-        out = rnn_step(p, np.ones(2), np.ones(2))
-        assert np.array_equal(out, np.full(2, 0.5))
-
-    def test_unknown_activation(self):
-        with pytest.raises(ValueError):
-            RnnParams(U=np.zeros((1, 1)), W=np.zeros((1, 1)), b=np.zeros(1),
-                      activation="relu")
 
 
 class TestHeadPredict:

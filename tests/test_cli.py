@@ -1,6 +1,7 @@
 """Tests for the command-line interface: config resolution, the effective
 config dump, exit codes, and one in-process smoke run per subcommand."""
 
+import inspect
 import os
 
 import numpy as np
@@ -12,10 +13,14 @@ from histlstm.cli import (
     parse_config_file,
     resolve_config,
     run,
+    synth_config,
     train_config,
 )
-from histlstm.dataio import load_manifest
+from histlstm.dataio import SynthConfig, load_manifest
 from histlstm.network import load_checkpoint
+from histlstm.trainer import TrainConfig, grad_check
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def synth_args(tmp_path, *extra):
@@ -107,6 +112,19 @@ class TestResolution:
         cfg.update(units="6", layers=2)
         assert train_config(cfg).layer_units == (6, 6)
 
+    def test_defaults_agree_everywhere(self):
+        # DEFAULTS, the config classes, grad_check, and the README key table
+        assert train_config(DEFAULTS) == TrainConfig()
+        assert synth_config(DEFAULTS) == SynthConfig()
+        seeds = inspect.signature(grad_check).parameters["seeds"].default
+        assert DEFAULTS["gradcheck_seeds"] == seeds
+        with open(README, encoding="utf-8") as fh:
+            rows = [line.split("|") for line in fh if line.startswith("| `")]
+        table = {cells[1].strip().strip("`"): cells[2].strip() for cells in rows}
+        shown = {key: str(val).lower() if isinstance(val, bool) else str(val)
+                 for key, val in DEFAULTS.items()}
+        assert table == shown
+
     def test_bad_train_value_becomes_usage_error(self):
         cfg = dict(DEFAULTS)
         cfg.update(dropout_p=1.5)
@@ -134,6 +152,23 @@ class TestExitCodes:
         assert run([]) == 2                    # missing subcommand
         assert run(["train", "--config"]) == 2  # flag without value
         capsys.readouterr()
+
+    def test_zero_units_exits_2(self, tmp_path, capsys):
+        assert run(["train", *synth_args(tmp_path, "--units", "0")]) == 2
+        assert "unit" in capsys.readouterr().err
+
+    def test_eval_zero_unit_checkpoint_exits_1(self, tmp_path, capsys):
+        assert run(["train", *synth_args(tmp_path)]) == 0
+        ckpt = tmp_path / "out" / "model.ckpt"
+        blob = bytearray(ckpt.read_bytes())
+        blob[22:26] = bytes(4)  # the one layer's unit count
+        ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        code = run(["eval", *synth_args(tmp_path, "--checkpoint", str(ckpt))])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "model.ckpt: checkpoint declares layer 0 units 0" in err
 
     def test_eval_dim_mismatch_exits_1(self, tmp_path, capsys):
         assert run(["train", *synth_args(tmp_path)]) == 0

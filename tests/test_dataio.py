@@ -195,6 +195,16 @@ class TestManifest:
         with pytest.raises(ValueError, match=":3: label 'one'"):
             load_manifest(path)
 
+    def test_non_integer_class_count(self, tmp_path):
+        path = self.write_corpus(tmp_path, [("a.fseq", 0)], header="classes abc")
+        with pytest.raises(ValueError, match=r"manifest\.txt:1: class count 'abc'"):
+            load_manifest(path)
+
+    def test_non_integer_fold(self, tmp_path):
+        path = self.write_corpus(tmp_path, [("a.fseq", 0, 0), ("b.fseq", 1, "x")])
+        with pytest.raises(ValueError, match=r"manifest\.txt:3: fold 'x'"):
+            load_manifest(path)
+
     def test_missing_file_names_line(self, tmp_path):
         path = self.write_corpus(tmp_path, [("a.fseq", 0)])
         with open(path, "a") as fh:

@@ -207,6 +207,20 @@ class TestHistoricalUpdate:
         assert np.array_equal(out.records[-1].weights, [0.5, 0.5])
         assert np.array_equal(out.l, 0.5 * h1 + 0.5 * h2)
 
+    def test_non_finite_state_names_step_branch_and_alpha(self):
+        # literal alpha < 0 amplifies l: (1 - alpha) * 1e308 overflows
+        big = np.full(3, 1e308)
+        trace = HistoricalTrace(l=big, h_buffer=[big], eps_l=0.1,
+                                records=[], l_history=[big])
+        cfg = HistoricalConfig(tau=2, alpha_policy="literal")
+
+        def never_called(v):
+            raise AssertionError("a non-finite state must not be rescored")
+
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match=r"t=2 \(blend branch, alpha=-1\.49"):
+            historical_update(trace, np.ones(3), 2.0, cfg, never_called)
+
     def test_shape_and_loss_errors(self):
         trace = initial_trace(np.zeros(3), lambda v: 1.0)
         cfg = HistoricalConfig()

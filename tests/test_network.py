@@ -8,6 +8,7 @@ from histlstm.cells import HeadParams, LstmState, head_predict, lstm_step
 from dataclasses import replace
 
 from histlstm.historical import (
+    INFERENCE_POLICIES,
     HistoricalConfig,
     historical_update,
     inference_losses,
@@ -15,8 +16,8 @@ from histlstm.historical import (
     step_loss,
 )
 from histlstm.network import (
+    HIST_PLACEMENTS,
     StackedNetwork,
-    apply_dropout,
     backward_sequence,
     build_network,
     forward_sequence,
@@ -71,32 +72,6 @@ def straight_line_training(net, X, label):
     return layer_h, layer_c, probs, hist, final
 
 
-class TestApplyDropout:
-    def test_p_zero_identity(self):
-        h = np.array([1.0, -2.0, 3.0])
-        assert apply_dropout(h, 0.0, None, training=True) is h
-        assert apply_dropout(h, 0.0, None, training=False) is h
-
-    def test_eval_identity_any_p(self):
-        h = np.array([1.0, -2.0, 3.0])
-        assert apply_dropout(h, 0.9, None, training=False) is h
-
-    def test_monte_carlo_expectation(self):
-        rng = np.random.default_rng(0)
-        h = rng.uniform(0.5, 2.0, 8)
-        acc = np.zeros_like(h)
-        n = 100_000
-        draws = rng.random((n, 8)) >= 0.5
-        acc = (draws * h / 0.5).mean(axis=0)
-        assert np.all(np.abs(acc - h) / h < 0.02)
-
-    def test_training_needs_generator(self):
-        with pytest.raises(ValueError):
-            apply_dropout(np.ones(3), 0.5, None, training=True)
-        with pytest.raises(ValueError):
-            apply_dropout(np.ones(3), 1.0, np.random.default_rng(0), True)
-
-
 class TestForwardSequence:
     def test_t1_historical_is_first_response(self):
         net = tiny_net(seed=1)
@@ -132,28 +107,35 @@ class TestForwardSequence:
         assert np.allclose(trace.final_probs, final, atol=1e-12)
 
     def test_eval_forward_matches_straight_line(self):
-        net = tiny_net(seed=7, units=(3,))
-        X = np.random.default_rng(8).standard_normal((4, 2))
-        trace = forward_sequence(net, X, training=False)
-        p = net.layers[0]
-        state = LstmState.zero(3)
-        H = []
-        for t in range(4):
-            state = lstm_step(p, state, X[t])
-            H.append(state.h)
-        H = np.stack(H)
-        psh, fh = net.per_step_head, net.final_head
-        pseudo0 = int(np.argmax(head_predict(psh, H[0])))
-        hist = initial_trace(H[0], lambda s: step_loss(fh, s, pseudo0))
-        for t in range(1, 4):
-            eps_h, eps_l = inference_losses(psh, fh, H[t], hist.l, "pseudo_label")
-            pseudo = int(np.argmax(head_predict(psh, H[t])))
-            hist = historical_update(replace(hist, eps_l=eps_l), H[t], eps_h,
-                                     net.hist_cfg,
-                                     lambda s: step_loss(fh, s, pseudo))
-        assert [r.branch for r in trace.hists[-1].records] == \
-            [r.branch for r in hist.records]
-        assert np.allclose(trace.hists[-1].l, hist.l, atol=1e-12)
+        # one loop over the inference policies keeps this test's id stable
+        for policy in INFERENCE_POLICIES:
+            cfg = HistoricalConfig(tau=2, inference_policy=policy)
+            net = tiny_net(seed=7, units=(3,), cfg=cfg)
+            X = np.random.default_rng(8).standard_normal((4, 2))
+            trace = forward_sequence(net, X, training=False)
+            p = net.layers[0]
+            state = LstmState.zero(3)
+            H = []
+            for t in range(4):
+                state = lstm_step(p, state, X[t])
+                H.append(state.h)
+            H = np.stack(H)
+            psh, fh = net.per_step_head, net.final_head
+
+            def state_loss(t):
+                if policy == "fixed_blend":
+                    return lambda s: 1.0
+                pseudo = int(np.argmax(head_predict(psh, H[t])))
+                return lambda s: step_loss(fh, s, pseudo)
+
+            hist = initial_trace(H[0], state_loss(0))
+            for t in range(1, 4):
+                eps_h, eps_l = inference_losses(psh, fh, H[t], hist.l, policy)
+                hist = historical_update(replace(hist, eps_l=eps_l), H[t], eps_h,
+                                         net.hist_cfg, state_loss(t))
+            assert [r.branch for r in trace.hists[-1].records] == \
+                [r.branch for r in hist.records], policy
+            assert np.allclose(trace.hists[-1].l, hist.l, atol=1e-12), policy
 
     def test_forward_determinism_bitwise(self):
         net = tiny_net(seed=9, dropout=0.5)
@@ -166,6 +148,8 @@ class TestForwardSequence:
         assert np.array_equal(a.step_probs, b.step_probs)
         for ma, mb in zip(a.masks, b.masks):
             assert np.array_equal(ma, mb)
+        # inverted dropout: the next layer sees upward * mask / (1 - p)
+        assert np.array_equal(a.layers[1].x, a.layers[0].h * a.masks[0] / (1 - 0.5))
 
     def test_eval_is_dropout_free_label_free_and_pure(self):
         net = tiny_net(seed=11, dropout=0.7)
@@ -185,16 +169,29 @@ class TestForwardSequence:
         assert np.array_equal(trace.final_src, trace.layers[-1].h[4])
 
     def test_replay_reproduces_pass_bitwise(self):
-        net = tiny_net(seed=15, dropout=0.4)
-        X = np.random.default_rng(16).standard_normal((5, 2))
-        ref = forward_sequence(net, X, label=1, training=True,
-                               rng=np.random.default_rng(7))
-        again = forward_sequence(net, X, label=1, training=True,
-                                 replay_from=ref)
-        assert np.array_equal(again.final_probs, ref.final_probs)
-        assert np.array_equal(again.hists[-1].l, ref.hists[-1].l)
-        for ma, mb in zip(again.masks, ref.masks):
-            assert np.array_equal(ma, mb)
+        # one loop over the placements keeps this test's id stable
+        for placement in HIST_PLACEMENTS:
+            net = tiny_net(seed=15, dropout=0.4, placement=placement)
+            X = np.random.default_rng(16).standard_normal((5, 2))
+            ref = forward_sequence(net, X, label=1, training=True,
+                                   rng=np.random.default_rng(7))
+            again = forward_sequence(net, X, label=1, training=True,
+                                     replay_from=ref)
+            assert np.array_equal(again.final_probs, ref.final_probs)
+            for ma, mb in zip(again.masks, ref.masks):
+                assert np.array_equal(ma, mb)
+            scored = [k for k, h in enumerate(ref.hists) if h is not None]
+            assert scored == ([0, 1] if placement == "all" else [1])
+            for k in scored:
+                mine, theirs = again.hists[k], ref.hists[k]
+                assert len(mine.records) == len(theirs.records) == 5
+                for a, b in zip(mine.records, theirs.records):
+                    assert (a.branch, a.eps_h, a.eps_l_prev, a.eps_l_new, a.alpha) == \
+                        (b.branch, b.eps_h, b.eps_l_prev, b.eps_l_new, b.alpha)
+                    assert (a.weights is None and b.weights is None) or \
+                        np.array_equal(a.weights, b.weights)
+                for la, lb in zip(mine.l_history, theirs.l_history, strict=True):
+                    assert np.array_equal(la, lb)
 
     def test_errors(self):
         net = tiny_net(seed=17)
@@ -204,6 +201,11 @@ class TestForwardSequence:
             forward_sequence(net, np.zeros((3, 2)), training=True)  # no label
         with pytest.raises(ValueError):
             forward_sequence(net, np.full((3, 2), np.nan))
+        with pytest.raises(ValueError, match="generator"):  # dropout, no rng
+            forward_sequence(tiny_net(seed=17, dropout=0.5), np.zeros((3, 2)),
+                             label=0, training=True)
+        with pytest.raises(ValueError, match="dropout_p"):
+            tiny_net(seed=17, dropout=1.0)
 
     def test_fixed_blend_clamped_holds_first_response_exactly(self):
         cfg = HistoricalConfig(tau=3, alpha_policy="clamped",
@@ -405,6 +407,21 @@ class TestCheckpoint:
         blob[27] = 7  # placement tag out of range
         open(path, "wb").write(bytes(blob))
         with pytest.raises(ValueError, match="placement"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("offset, field", [
+        (14, "input_dim 0"),        # 6 magic + version + n_classes
+        (18, "layer count 0"),
+        (22, "layer 0 units 0"),
+    ])
+    def test_zero_width_header_field_named(self, tmp_path, offset, field):
+        net = tiny_net(seed=40, units=(3,))
+        path = os.path.join(tmp_path, "net.ckpt")
+        save_checkpoint(net, path)
+        blob = bytearray(open(path, "rb").read())
+        blob[offset:offset + 4] = bytes(4)
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(ValueError, match=f"net.ckpt: checkpoint declares {field}"):
             load_checkpoint(path)
 
 
