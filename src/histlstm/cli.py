@@ -15,6 +15,8 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
+import numpy as np
+
 from .dataio import Dataset, SynthConfig, load_manifest, synth_keyframe_dataset, write_manifest
 from .network import load_checkpoint, save_checkpoint
 from .trainer import (
@@ -332,7 +334,9 @@ def run(argv: Optional[list] = None) -> int:
     try:
         cfg = resolve_config(args)
         dump_effective_config(cfg, args.command)
-        return COMMANDS[args.command](cfg)
+        # non-finite values end in explicit errors; numpy's warnings would repeat them
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

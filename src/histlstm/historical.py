@@ -234,24 +234,16 @@ def replay_update(
     return _step(trace, h_t, record.alpha, record.weights, lambda l_new: record)
 
 
-def inference_losses(
-    per_step_head: HeadParams,
-    final_head: HeadParams,
-    h_t: np.ndarray,
-    l_prev: np.ndarray,
-    policy: str,
-) -> tuple[float, float]:
-    """Label-free stand-ins for (eps_h, eps_l) at evaluation time.
+def inference_losses(step_probs: np.ndarray, policy: str) -> tuple[list, list]:
+    """Label-free stand-ins at evaluation time: per-step targets y_t and
+    response losses eps_h, read off the (T, C) per-step probabilities.
 
-    pseudo_label scores both states against the per-step head's argmax;
-    fixed_blend returns equal unit losses so the blend branch always fires.
+    pseudo_label takes y_t = argmax(step_probs[t]); fixed_blend has no
+    targets (None) and unit losses, so the blend branch always fires.
     """
     if policy == "fixed_blend":
-        return 1.0, 1.0
+        return [None] * len(step_probs), [1.0] * len(step_probs)
     if policy != "pseudo_label":
         raise ValueError(f"unknown inference policy {policy!r}")
-    probs_h = head_predict(per_step_head, h_t)
-    pseudo = int(np.argmax(probs_h))
-    eps_h = cross_entropy(probs_h, pseudo)
-    eps_l = step_loss(final_head, l_prev, pseudo)
-    return eps_h, eps_l
+    targets = [int(y) for y in np.argmax(step_probs, axis=1)]
+    return targets, [cross_entropy(p, y) for p, y in zip(step_probs, targets)]

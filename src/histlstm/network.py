@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import struct
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -313,41 +314,34 @@ def _run_historical(
     H: np.ndarray,
     step_probs: np.ndarray,
     label: Optional[int],
-    training: bool,
     replay_records: Optional[list],
 ) -> HistoricalTrace:
     """Drive the historical recursion over one layer's responses.
 
     With replay_records the recorded branch schedule is applied verbatim and
-    neither losses nor policies are consulted. A live pass picks its scorer
-    once: state_loss(t) scores the states formed at step t, and losses(t,
-    hist) gives the (eps_h, eps_l) pair the branch decision compares.
+    neither losses nor policies are consulted. A live pass scores step t's
+    states against y_t: the label if given (training), else the inference
+    policy's stand-in (None scores 1). l_{t-1} is rescored when y_t changes.
     """
-    h_head, l_head = _scoring_heads(net, k)
+    _, l_head = _scoring_heads(net, k)
     cfg = net.hist_cfg
     if replay_records is not None:
         hist = initial_trace(H[0], lambda s: replay_records[0].eps_l_new)
         for t in range(1, len(H)):
             hist = replay_update(hist, H[t], replay_records[t], cfg)
         return hist
-    if training:
-        state_loss = lambda t: lambda s: step_loss(l_head, s, label)  # noqa: E731
-        losses = lambda t, hist: (cross_entropy(step_probs[t], label), hist.eps_l)  # noqa: E731
+    if label is not None:
+        targets = [label] * len(H)
+        eps_h = [cross_entropy(p, label) for p in step_probs]
     else:
-        losses = lambda t, hist: inference_losses(  # noqa: E731
-            h_head, l_head, H[t], hist.l, cfg.inference_policy)
-        if cfg.inference_policy == "fixed_blend":
-            state_loss = lambda t: lambda s: 1.0  # noqa: E731
-        else:
-            def state_loss(t):
-                pseudo = int(np.argmax(step_probs[t]))
-                return lambda s: step_loss(l_head, s, pseudo)
-    hist = initial_trace(H[0], state_loss(0))
+        targets, eps_h = inference_losses(step_probs, cfg.inference_policy)
+    scorers = [(lambda s: 1.0) if y is None else partial(step_loss, l_head, label=y)
+               for y in targets]
+    hist = initial_trace(H[0], scorers[0])
     for t in range(1, len(H)):
-        eps_h, eps_l = losses(t, hist)
-        if eps_l != hist.eps_l:  # the label-free stand-in rescored l_{t-1}
-            hist = replace(hist, eps_l=eps_l)
-        hist = historical_update(hist, H[t], eps_h, cfg, state_loss(t))
+        if targets[t] != targets[t - 1]:
+            hist = replace(hist, eps_l=scorers[t](hist.l))
+        hist = historical_update(hist, H[t], eps_h[t], cfg, scorers[t])
     return hist
 
 
@@ -399,7 +393,6 @@ def forward_sequence(
         lt = _layer_forward(net.layers[k], cur)
         layer_traces.append(lt)
         top = k == L - 1
-        probs_k = None
         if top or k in scored:
             h_head, _ = _scoring_heads(net, k)
             probs_k = _head_probs_rows(h_head, lt.h)
@@ -410,7 +403,7 @@ def forward_sequence(
         if k in scored:
             records = replay_from.hists[k].records if replay_from is not None else None
             hists[k] = _run_historical(
-                net, k, lt.h, probs_k, label, training, records
+                net, k, lt.h, probs_k, label if training else None, records
             )
         if not top:
             upward = np.stack(hists[k].l_history) if k in scored else lt.h

@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dataio import Dataset
+from .dataio import Dataset, FeatureSequence
 from .historical import ALPHA_POLICIES, WINDOW_MODES, HistoricalConfig
 from .network import (
     StackedNetwork,
@@ -171,6 +172,15 @@ def confusion_table(metrics: Metrics) -> str:
     return "\n".join(out) + "\n"
 
 
+@contextmanager
+def _naming(seq: FeatureSequence, index: int):
+    """Prefix a sequence's ValueError with its id, or its index if the id is empty."""
+    try:
+        yield
+    except ValueError as exc:
+        raise type(exc)(f"{seq.id or f'sequence {index}'}: {exc}") from exc
+
+
 def evaluate(net: StackedNetwork, dataset: Dataset) -> Metrics:
     """Evaluation-mode forward per sequence; argmax prediction with ties
     broken toward the lowest class index."""
@@ -180,8 +190,9 @@ def evaluate(net: StackedNetwork, dataset: Dataset) -> Metrics:
             f"dataset declares {dataset.n_classes} classes, model has {C}"
         )
     confusion = np.zeros((C, C), dtype=np.int64)
-    for seq in dataset:
-        trace = forward_sequence(net, seq.frames, training=False)
+    for index, seq in enumerate(dataset):
+        with _naming(seq, index):
+            trace = forward_sequence(net, seq.frames, training=False)
         pred = int(np.argmax(trace.final_probs))
         confusion[seq.label, pred] += 1
     total = int(confusion.sum())
@@ -203,12 +214,11 @@ def _batch_gradients(
     hits = 0
     for idx in batch_idx:
         seq = dataset.sequences[idx]
-        trace = forward_sequence(
-            net, seq.frames, label=seq.label, training=True, rng=rng
-        )
-        loss_sum += total_loss(net, trace, seq.label, cfg.lambda_aux, cfg.l2)
+        with _naming(seq, idx):
+            trace = forward_sequence(net, seq.frames, label=seq.label, training=True, rng=rng)
+            loss_sum += total_loss(net, trace, seq.label, cfg.lambda_aux, cfg.l2)
+            g = backward_sequence(net, trace, seq.label, cfg.lambda_aux, cfg.l2)
         hits += int(np.argmax(trace.final_probs)) == seq.label
-        g = backward_sequence(net, trace, seq.label, cfg.lambda_aux, cfg.l2)
         for name in grads_sum:
             grads_sum[name] += g[name]
     n = len(batch_idx)

@@ -3,6 +3,8 @@ config dump, exit codes, and one in-process smoke run per subcommand."""
 
 import inspect
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from histlstm.cli import (
     synth_config,
     train_config,
 )
-from histlstm.dataio import SynthConfig, load_manifest
-from histlstm.network import load_checkpoint
+import histlstm
+from histlstm.dataio import FeatureSequence, SynthConfig, load_manifest, read_fseq, write_fseq
+from histlstm.historical import HistoricalConfig
+from histlstm.network import build_network, load_checkpoint, save_checkpoint
 from histlstm.trainer import TrainConfig, grad_check
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -177,6 +181,47 @@ class TestExitCodes:
                                         "--set", "synth_dim=5")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+    def test_eval_nan_fseq_names_file_exits_1(self, tmp_path, capsys):
+        assert run(["synth", *synth_args(tmp_path)]) == 0
+        assert run(["train", *synth_args(tmp_path)]) == 0
+        out = tmp_path / "out"
+        bad = read_fseq(str(out / "seq1.fseq"))
+        bad.frames[2, 0] = np.nan
+        write_fseq(str(out / "seq1.fseq"), bad)
+        capsys.readouterr()
+        code = run(["eval", "--out", str(out), "--checkpoint", str(out / "model.ckpt"),
+                    "--manifest", str(out / "manifest.txt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: seq1.fseq: sequence contains non-finite features\n"
+
+    def test_literal_alpha_overflow_prints_one_line(self, tmp_path):
+        # constant losses make the literal alpha -6.7 at every step, so l_t
+        # grows 7.7-fold per step until it overflows; a fresh interpreter
+        # shows what numpy's default warning filter would print
+        net = build_network(np.random.default_rng(0), 2, (4,), 2, dropout_p=0.0,
+                            hist_cfg=HistoricalConfig(alpha_policy="literal"))
+        net.per_step_head.V[:] = 0.0
+        net.per_step_head.c[:] = 0.0
+        net.final_head.V[:] = 0.0
+        net.final_head.c[:] = [50.0, 0.0]
+        save_checkpoint(net, str(tmp_path / "model.ckpt"))
+        frames = np.random.default_rng(1).standard_normal((400, 2))
+        write_fseq(str(tmp_path / "long.fseq"), FeatureSequence(frames=frames, label=0))
+        (tmp_path / "manifest.txt").write_text("classes 2\nlong.fseq 0\n")
+        src = os.path.dirname(os.path.dirname(histlstm.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "histlstm.cli", "eval", "--out", str(tmp_path / "out"),
+             "--checkpoint", str(tmp_path / "model.ckpt"),
+             "--manifest", str(tmp_path / "manifest.txt")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stderr.startswith("error: long.fseq: historical state is not finite at step t=")
 
 
 class TestEffectiveConfig:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from histlstm.cells import HeadParams, init_head
+from histlstm.cells import HeadParams, head_predict, init_head
 from histlstm.historical import (
     DegenerateWindowError,
     HistoricalConfig,
@@ -17,7 +17,7 @@ from histlstm.historical import (
     step_loss,
     truncation_weights,
 )
-from histlstm.numerics import EPS_LOSS_FLOOR, ShapeError
+from histlstm.numerics import EPS_LOSS_FLOOR, ShapeError, cross_entropy
 
 
 def oracle_run(h_buffer, cfg, loss_h, loss_l):
@@ -329,30 +329,36 @@ class TestInferenceLosses:
     def test_confident_response_floors(self):
         psh = HeadParams(V=np.eye(2) * 40.0, c=np.zeros(2))
         fh = HeadParams(V=np.zeros((2, 2)), c=np.zeros(2))
-        eps_h, eps_l = inference_losses(psh, fh, np.array([1.0, -1.0]),
-                                        np.zeros(2), "pseudo_label")
-        assert eps_h == EPS_LOSS_FLOOR
-        assert abs(eps_l - math.log(2.0)) < 1e-12
+        probs = head_predict(psh, np.array([1.0, -1.0]))
+        targets, eps_h = inference_losses(probs[None, :], "pseudo_label")
+        assert targets == [0] and eps_h == [EPS_LOSS_FLOOR]
+        assert abs(step_loss(fh, np.zeros(2), targets[0]) - math.log(2.0)) < 1e-12
+
+    def test_pseudo_labels_are_row_argmaxes(self):
+        rng = np.random.default_rng(14)
+        probs = rng.dirichlet(np.ones(3), size=6)
+        probs[5] = [0.4, 0.4, 0.2]  # a tie goes to the lowest class
+        targets, eps_h = inference_losses(probs, "pseudo_label")
+        assert targets == [int(np.argmax(p)) for p in probs]
+        assert targets[5] == 0
+        assert eps_h == [cross_entropy(p, y) for p, y in zip(probs, targets)]
 
     def test_fixed_blend_unit_losses(self):
-        rng = np.random.default_rng(9)
-        psh, fh = init_head(rng, 3, 2), init_head(rng, 3, 2)
-        assert inference_losses(psh, fh, rng.standard_normal(3),
-                                rng.standard_normal(3), "fixed_blend") == (1.0, 1.0)
+        probs = np.random.default_rng(9).dirichlet(np.ones(2), size=3)
+        assert inference_losses(probs, "fixed_blend") == ([None] * 3, [1.0] * 3)
 
     def test_historical_predicting_pseudo_label_better_blends(self):
         # per-step head mildly prefers class 0; final head strongly does
         psh = HeadParams(V=np.zeros((2, 2)), c=np.array([0.2, 0.0]))
         fh = HeadParams(V=np.eye(2) * 10.0, c=np.zeros(2))
-        eps_h, eps_l = inference_losses(psh, fh, np.zeros(2),
-                                        np.array([1.0, -1.0]), "pseudo_label")
+        probs = head_predict(psh, np.zeros(2))
+        (pseudo,), (eps_h,) = inference_losses(probs[None, :], "pseudo_label")
+        eps_l = step_loss(fh, np.array([1.0, -1.0]), pseudo)
         assert eps_l < eps_h  # blend branch fires on this comparison
 
     def test_unknown_policy(self):
-        rng = np.random.default_rng(10)
-        psh, fh = init_head(rng, 2, 2), init_head(rng, 2, 2)
         with pytest.raises(ValueError):
-            inference_losses(psh, fh, np.zeros(2), np.zeros(2), "oracle")
+            inference_losses(np.full((1, 2), 0.5), "oracle")
 
 
 class TestInvariantsAndDegenerate:
@@ -374,16 +380,16 @@ class TestInvariantsAndDegenerate:
     def test_fixed_blend_clamped_holds_first_response(self):
         # unit losses keep the blend branch firing with alpha 0 forever
         rng = np.random.default_rng(12)
-        psh, fh = init_head(rng, 4, 3), init_head(rng, 4, 3)
+        psh = init_head(rng, 4, 3)
         cfg = HistoricalConfig(tau=3, alpha_policy="clamped",
                                inference_policy="fixed_blend")
         hs = [rng.standard_normal(4) for _ in range(9)]
+        probs = np.stack([head_predict(psh, h) for h in hs])
+        targets, eps_h = inference_losses(probs, "fixed_blend")
+        assert targets == [None] * 9 and eps_h == [1.0] * 9
         trace = initial_trace(hs[0], lambda v: 1.0)
-        for h in hs[1:]:
-            eps_h, eps_l = inference_losses(psh, fh, h, trace.l, "fixed_blend")
-            assert (eps_h, eps_l) == (1.0, 1.0)
-            trace = historical_update(trace, h, eps_h, cfg,
-                                      lambda v: eps_l)
+        for t in range(1, 9):
+            trace = historical_update(trace, hs[t], eps_h[t], cfg, lambda v: 1.0)
         assert np.array_equal(trace.l, hs[0])
         assert all(r.branch == "blend" for r in trace.records[1:])
 

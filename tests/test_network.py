@@ -7,11 +7,11 @@ import pytest
 from histlstm.cells import HeadParams, LstmState, head_predict, lstm_step
 from dataclasses import replace
 
+from histlstm import historical
 from histlstm.historical import (
     INFERENCE_POLICIES,
     HistoricalConfig,
     historical_update,
-    inference_losses,
     initial_trace,
     step_loss,
 )
@@ -121,21 +121,68 @@ class TestForwardSequence:
                 H.append(state.h)
             H = np.stack(H)
             psh, fh = net.per_step_head, net.final_head
+            probs = [head_predict(psh, H[t]) for t in range(4)]
 
-            def state_loss(t):
+            def loss_fn(t):
                 if policy == "fixed_blend":
                     return lambda s: 1.0
-                pseudo = int(np.argmax(head_predict(psh, H[t])))
+                pseudo = int(np.argmax(probs[t]))
                 return lambda s: step_loss(fh, s, pseudo)
 
-            hist = initial_trace(H[0], state_loss(0))
+            def eps_h(t):
+                if policy == "fixed_blend":
+                    return 1.0
+                return cross_entropy(probs[t], int(np.argmax(probs[t])))
+
+            hist = initial_trace(H[0], loss_fn(0))
             for t in range(1, 4):
-                eps_h, eps_l = inference_losses(psh, fh, H[t], hist.l, policy)
-                hist = historical_update(replace(hist, eps_l=eps_l), H[t], eps_h,
-                                         net.hist_cfg, state_loss(t))
+                # both losses of step t score against step t's pseudo-label
+                hist = historical_update(replace(hist, eps_l=loss_fn(t)(hist.l)), H[t],
+                                         eps_h(t), net.hist_cfg, loss_fn(t))
             assert [r.branch for r in trace.hists[-1].records] == \
                 [r.branch for r in hist.records], policy
             assert np.allclose(trace.hists[-1].l, hist.l, atol=1e-12), policy
+
+    @pytest.mark.parametrize("placement", HIST_PLACEMENTS)
+    def test_eval_steps_share_one_pseudo_label(self, placement):
+        # eps_h and the rescored eps_l of step t both score against
+        # y_t = argmax(step_probs[t]), bit for bit, on every scored layer
+        net = tiny_net(seed=20, units=(16, 16), n_classes=4, placement=placement)
+        for trial in range(8):
+            X = np.random.default_rng([21, trial]).standard_normal((12, 2)) * 2
+            trace = forward_sequence(net, X)
+            for k, hist in enumerate(trace.hists):
+                if hist is None:
+                    continue
+                top = k == len(net.layers) - 1
+                probs = trace.step_probs if top else trace.aux_probs[k]
+                l_head = net.final_head if top else net.aux_heads[k]
+                ys = [int(np.argmax(p)) for p in probs]
+                assert hist.records[0].eps_l_new == step_loss(l_head, hist.l_history[0], ys[0])
+                for t in range(1, 12):
+                    rec = hist.records[t]
+                    assert rec.eps_h == cross_entropy(probs[t], ys[t]), (k, t)
+                    assert rec.eps_l_prev == \
+                        step_loss(l_head, hist.l_history[t - 1], ys[t]), (k, t)
+                    assert rec.eps_l_new == step_loss(l_head, hist.l_history[t], ys[t])
+
+    @pytest.mark.parametrize("placement", HIST_PLACEMENTS)
+    def test_eval_head_evaluations_per_scored_layer(self, placement, monkeypatch):
+        # one score per new state, plus one rescoring of l_{t-1} per
+        # pseudo-label change; the per-step probabilities are not recomputed
+        calls = []
+        monkeypatch.setattr(historical, "head_predict",
+                            lambda head, s: calls.append(1) or head_predict(head, s))
+        net = tiny_net(seed=22, placement=placement)
+        X = np.random.default_rng(23).standard_normal((15, 2)) * 2
+        trace = forward_sequence(net, X)
+        budget = 0
+        for k, hist in enumerate(trace.hists):
+            if hist is not None:
+                probs = trace.step_probs if k == len(net.layers) - 1 else trace.aux_probs[k]
+                ys = np.argmax(probs, axis=1)
+                budget += 15 + int(np.count_nonzero(ys[1:] != ys[:-1]))
+        assert 0 < len(calls) <= budget
 
     def test_forward_determinism_bitwise(self):
         net = tiny_net(seed=9, dropout=0.5)

@@ -172,6 +172,17 @@ class TestEvaluate:
             evaluate(net, ds)
 
 
+    def test_error_names_the_sequence(self):
+        ds = separable_dataset(n_per_class=2)
+        ds.sequences[1].frames[3, 0] = np.nan
+        net = tiny_cfg().build(np.random.default_rng(0), ds.dim, ds.n_classes)
+        with pytest.raises(ValueError, match=f"^{ds.sequences[1].id}: sequence contains non-finite"):
+            evaluate(net, ds)
+        ds.sequences[1].id = ""
+        with pytest.raises(ValueError, match="^sequence 1: sequence contains non-finite"):
+            evaluate(net, ds)
+
+
 class TestBatchGradients:
     def test_mean_over_batch_is_mean_of_singles(self):
         # dropout off: per-sequence gradients are independent of batch
@@ -195,6 +206,14 @@ class TestBatchGradients:
         _, _, acc = _batch_gradients(net, ds, [0, 1, 2, 3], cfg,
                                      np.random.default_rng(0))
         assert acc in (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+    def test_error_keeps_its_type_and_names_the_sequence(self):
+        ds = separable_dataset(n_per_class=2)
+        cfg = tiny_cfg()
+        net = cfg.build(np.random.default_rng(3), ds.dim + 1, ds.n_classes)
+        with pytest.raises(ShapeError, match=f"^{ds.sequences[2].id}: sequence has feature dim"):
+            _batch_gradients(net, ds, [2, 0], cfg, np.random.default_rng(0))
 
 
 class TestTrain:
