@@ -130,6 +130,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _at_least(cfg: dict, key: str, low: int) -> int:
+    if cfg[key] < low:
+        raise UsageError(f"{key} must be >= {low}, got {cfg[key]}")
+    return cfg[key]
+
+
 def _layer_units(cfg: dict) -> tuple:
     units = str(cfg["units"])
     if "," in units:
@@ -235,8 +241,9 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_cv(cfg: dict) -> int:
+    k = _at_least(cfg, "kfolds", 2)
     dataset = load_dataset(cfg)
-    metrics = cross_validate(dataset, train_config(cfg), k=cfg["kfolds"], log=print)
+    metrics = cross_validate(dataset, train_config(cfg), k=k, log=print)
     table = confusion_table(metrics)
     _write(os.path.join(cfg["out"], "cv_metrics.txt"), table)
     print(table, end="")
@@ -244,15 +251,15 @@ def cmd_cv(cfg: dict) -> int:
 
 
 def cmd_sweep_tau(cfg: dict) -> int:
+    k = _at_least(cfg, "kfolds", 2)
     dataset = load_dataset(cfg)
     base = train_config(cfg)
     rows = []
     for tau in (2, 3, 4, 5):
-        m = cross_validate(dataset, replace(base, tau=tau, use_historical=True),
-                           k=cfg["kfolds"])
+        m = cross_validate(dataset, replace(base, tau=tau, use_historical=True), k=k)
         rows.append((f"historical tau={tau}", m.accuracy))
         print(f"historical tau={tau}: mean accuracy {m.accuracy:.4f}")
-    m = cross_validate(dataset, replace(base, use_historical=False), k=cfg["kfolds"])
+    m = cross_validate(dataset, replace(base, use_historical=False), k=k)
     rows.append(("lstm", m.accuracy))
     print(f"lstm: mean accuracy {m.accuracy:.4f}")
     width = max(len(r[0]) for r in rows)
@@ -275,7 +282,7 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def cmd_gradcheck(cfg: dict) -> int:
-    report = grad_check(seeds=cfg["gradcheck_seeds"])
+    report = grad_check(seeds=_at_least(cfg, "gradcheck_seeds", 1))
     line = (f"gradcheck: max relative error {report.max_rel_err:.3e} "
             f"(block {report.worst_block}) over {len(report.cases)} cases "
             f"in {report.elapsed_s:.1f}s")

@@ -59,8 +59,8 @@ class HistoricalConfig:
 class StepRecord:
     """What happened at one update: branch taken and the frozen coefficients.
 
-    The coefficients (alpha or window weights) are treated as constants by
-    backpropagation, so recording them is enough to replay the step.
+    The coefficients (alpha, or the truncation_weights of the window) are
+    treated as constants by backpropagation, so recording them replays the step.
     """
 
     branch: str  # "init" | "blend" | "trunc"
@@ -109,29 +109,28 @@ def compute_alpha(eps_l_prev: float, eps_h: float, policy: str) -> float:
 
 
 def truncation_weights(t: int, tau: int, mode: str) -> np.ndarray:
-    """Weights w_1..w_t used to re-initialize the historical state.
+    """Weights of the last n responses h_{t-n+1}..h_t, which re-initialize
+    the historical state at step t; earlier responses have weight zero and
+    are neither stored nor read.
 
-    literal: zero up to absolute index tau, then uniform 1/(t-tau); only
-    defined for t > tau. sliding: uniform over the most recent min(tau, t)
-    responses. Both modes return nonnegative weights summing to 1.
+    literal: n = t - tau, only defined for t > tau. sliding: n = min(tau, t).
+    Both modes return n uniform weights 1/n.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    w = np.zeros(t)
     if mode == "literal":
         if t <= tau:
             raise DegenerateWindowError(
                 f"literal window undefined for t={t} <= tau={tau}"
             )
-        w[tau:] = 1.0 / (t - tau)
+        n = t - tau
     elif mode == "sliding":
         n = min(tau, t)
-        w[t - n:] = 1.0 / n
     else:
         raise ValueError(f"unknown window mode {mode!r}")
-    return w
+    return np.full(n, 1.0 / n)
 
 
 def step_loss(head: HeadParams, state: np.ndarray, label: int) -> float:
@@ -156,16 +155,18 @@ def _step(
     make_record: Callable[[np.ndarray], StepRecord],
 ) -> HistoricalTrace:
     """The recursion itself, shared by live and replayed updates: append h_t,
-    form l_t by blending with alpha or, when weights are given, as the
-    weighted buffer sum, and store the StepRecord make_record(l_t) returns.
+    form l_t by blending with alpha or as the weighted sum of the last
+    len(weights) responses, and store the StepRecord make_record(l_t) returns.
+    The sum starts from +0 in ascending index order, so for finite responses
+    it has the bits of the full-buffer sum with terms 0 * h_k before the window.
     """
     buffer = trace.h_buffer + [h_t]
     if weights is None:
         l_new = alpha * h_t + (1.0 - alpha) * trace.l
     else:
         l_new = np.zeros_like(trace.l)
-        for k in range(len(buffer)):
-            l_new += weights[k] * buffer[k]
+        for w, h in zip(weights.tolist(), buffer[len(buffer) - len(weights):]):
+            l_new += w * h
     rec = make_record(l_new)
     return HistoricalTrace(
         l=l_new,

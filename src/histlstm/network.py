@@ -495,7 +495,8 @@ def _historical_backward(records: list, dl_in: np.ndarray) -> np.ndarray:
             dH[t] += rec.alpha * dl
             dl = (1.0 - rec.alpha) * dl
         elif rec.branch == "trunc":
-            dH[: t + 1] += rec.weights[:, None] * dl[None, :]
+            w = rec.weights  # the window: rows t+1-len(w)..t
+            dH[t + 1 - len(w): t + 1] += w[:, None] * dl[None, :]
             dl = np.zeros(U)
         else:  # init at t == 0: l_1 = h_1
             dH[0] += dl

@@ -12,9 +12,11 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .cells import PEEPHOLE_MODES
 from .dataio import Dataset, FeatureSequence
 from .historical import ALPHA_POLICIES, WINDOW_MODES, HistoricalConfig
 from .network import (
+    HIST_PLACEMENTS,
     StackedNetwork,
     backward_sequence,
     build_network,
@@ -61,8 +63,13 @@ class TrainConfig:
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
         object.__setattr__(self, "layer_units", tuple(int(u) for u in self.layer_units))
-        if any(u < 1 for u in self.layer_units):
-            raise ValueError(f"every layer needs >= 1 unit, got {self.layer_units}")
+        if not self.layer_units or min(self.layer_units) < 1:
+            raise ValueError(f"need >= 1 layer of >= 1 unit, got layer_units={self.layer_units}")
+        self.hist_cfg()  # validates tau, window_mode, alpha_policy, inference_policy
+        if self.hist_placement not in HIST_PLACEMENTS:
+            raise ValueError(f"unknown hist_placement {self.hist_placement!r}")
+        if self.peephole not in PEEPHOLE_MODES:
+            raise ValueError(f"unknown peephole {self.peephole!r}")
 
     def hist_cfg(self) -> HistoricalConfig:
         return HistoricalConfig(
@@ -412,6 +419,8 @@ def grad_check(
     tamper maps block-name suffixes to multipliers applied to the analytic
     gradient, a self-test hook proving the harness flags wrong gradients.
     """
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     t_start = time.perf_counter()
     cases = []
     case_id = 0

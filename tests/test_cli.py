@@ -161,6 +161,34 @@ class TestExitCodes:
         assert run(["train", *synth_args(tmp_path, "--units", "0")]) == 2
         assert "unit" in capsys.readouterr().err
 
+    BAD_VALUES = {
+        "tau": ("--tau", "0"),
+        "window_mode": ("--set", "window_mode=boxcar"),
+        "alpha_policy": ("--set", "alpha_policy=x"),
+        "hist_placement": ("--set", "hist_placement=middle"),
+        "peephole": ("--set", "peephole=x"),
+        "layers": ("--layers", "0"),
+    }
+
+    @pytest.mark.parametrize("key", BAD_VALUES)
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, key):
+        # rejected when the config is built, before any network exists
+        assert run(["train", *synth_args(tmp_path, *self.BAD_VALUES[key])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key.rstrip("s") in err
+
+    @pytest.mark.parametrize("command", ["cv", "sweep-tau"])
+    def test_kfolds_below_2_exits_2(self, tmp_path, capsys, command):
+        assert run([command, *synth_args(tmp_path, "--kfolds", "1")]) == 2
+        assert capsys.readouterr().err == "error: kfolds must be >= 2, got 1\n"
+
+    def test_gradcheck_zero_seeds_exits_2(self, tmp_path, capsys):
+        code = run(["gradcheck", "--out", str(tmp_path / "out"),
+                    "--set", "gradcheck_seeds=0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: gradcheck_seeds must be >= 1, got 0\n"
+
     def test_eval_zero_unit_checkpoint_exits_1(self, tmp_path, capsys):
         assert run(["train", *synth_args(tmp_path)]) == 0
         ckpt = tmp_path / "out" / "model.ckpt"

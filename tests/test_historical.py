@@ -17,6 +17,7 @@ from histlstm.historical import (
     step_loss,
     truncation_weights,
 )
+from histlstm.network import _historical_backward
 from histlstm.numerics import EPS_LOSS_FLOOR, ShapeError, cross_entropy
 
 
@@ -109,11 +110,11 @@ class TestComputeAlpha:
 class TestTruncationWeights:
     def test_literal_t5_tau2(self):
         w = truncation_weights(5, 2, "literal")
-        assert np.array_equal(w, [0.0, 0.0, 1.0 / 3, 1.0 / 3, 1.0 / 3])
+        assert np.array_equal(w, [1.0 / 3, 1.0 / 3, 1.0 / 3])
 
     def test_sliding_t5_tau2(self):
         w = truncation_weights(5, 2, "sliding")
-        assert np.array_equal(w, [0.0, 0.0, 0.0, 0.5, 0.5])
+        assert np.array_equal(w, [0.5, 0.5])
 
     def test_sliding_t1(self):
         for tau in (1, 2, 7):
@@ -132,8 +133,9 @@ class TestTruncationWeights:
                     if mode == "literal" and t <= tau:
                         continue
                     w = truncation_weights(t, tau, mode)
-                    assert w.shape == (t,)
-                    assert np.all(w >= 0.0)
+                    n = t - tau if mode == "literal" else min(tau, t)
+                    assert w.shape == (n,)
+                    assert np.all(w > 0.0)
                     assert abs(w.sum() - 1.0) < 1e-12
 
     def test_bad_args(self):
@@ -195,7 +197,7 @@ class TestHistoricalUpdate:
         out = historical_update(trace, hs[4], 0.5, cfg, lambda v: 1.0)
         assert np.array_equal(out.l, 0.5 * hs[3] + 0.5 * hs[4])
         assert out.records[-1].branch == "trunc"
-        assert np.array_equal(out.records[-1].weights, [0, 0, 0, 0.5, 0.5])
+        assert np.array_equal(out.records[-1].weights, [0.5, 0.5])
 
     def test_literal_degenerate_falls_back_to_sliding(self):
         rng = np.random.default_rng(3)
@@ -206,6 +208,28 @@ class TestHistoricalUpdate:
         out = historical_update(trace, h2, 0.1, cfg, lambda v: 1.0)  # t=2 <= tau
         assert np.array_equal(out.records[-1].weights, [0.5, 0.5])
         assert np.array_equal(out.l, 0.5 * h1 + 0.5 * h2)
+
+    def test_truncation_reads_only_its_window(self):
+        # responses before the window are NaN: 0 * NaN would poison l_t
+        rng = np.random.default_rng(15)
+        for mode in ("sliding", "literal"):
+            for tau in (1, 2, 4):
+                for t in range(2, 10):
+                    if mode == "literal" and t <= tau:
+                        continue
+                    n = t - tau if mode == "literal" else min(tau, t)
+                    hs = [rng.standard_normal(3) for _ in range(t)]
+                    buffer = [np.full(3, np.nan)] * (t - n) + hs[t - n:t - 1]
+                    trace = HistoricalTrace(l=np.zeros(3), h_buffer=buffer, eps_l=2.0,
+                                            records=[], l_history=[np.zeros(3)])
+                    cfg = HistoricalConfig(tau=tau, window_mode=mode)
+                    out = historical_update(trace, hs[-1], 0.5, cfg, lambda v: 1.0)
+                    rec = out.records[-1]
+                    assert rec.branch == "trunc" and len(rec.weights) == n
+                    expected = sum((1.0 / n) * h for h in hs[t - n:])
+                    assert np.array_equal(out.l, expected)
+                    replayed = replay_update(trace, hs[-1], rec, cfg)
+                    assert np.array_equal(replayed.l, expected)
 
     def test_non_finite_state_names_step_branch_and_alpha(self):
         # literal alpha < 0 amplifies l: (1 - alpha) * 1e308 overflows
@@ -301,6 +325,59 @@ class TestOracleEquivalence:
                           lambda v: step_loss(fh, v, label))
             seen |= {r.branch for r in trace.records}
         assert {"blend", "trunc"} <= seen
+
+
+def long_run(T, mode, policy):
+    """A T-step run whose losses lie in [1, 2), so the literal alpha stays
+    >= 0.5 * ln(1/2) and l_t finite at these horizons; returns the responses,
+    the config, the two loss functions and the driven trace."""
+    rng = np.random.default_rng([31, T])
+    a, b = rng.standard_normal((2, 3))
+    loss_h = lambda v: 1.0 + float(a @ v) ** 2 / (float(a @ v) ** 2 + 9.0)  # noqa: E731
+    loss_l = lambda v: 1.0 + float(b @ v) ** 2 / (float(b @ v) ** 2 + 9.0)  # noqa: E731
+    cfg = HistoricalConfig(tau=5, window_mode=mode, alpha_policy=policy)
+    hs = [rng.standard_normal(3) * 3 for _ in range(T)]
+    return hs, cfg, loss_h, loss_l, drive(hs, cfg, loss_h, loss_l)
+
+
+class TestLongHorizon:
+    @pytest.mark.parametrize("T", [200, 480])
+    def test_oracle_and_replay_bitwise(self, T):
+        for mode in ("sliding", "literal"):
+            for policy in ("literal", "clamped", "inverse_loss"):
+                hs, cfg, loss_h, loss_l, trace = long_run(T, mode, policy)
+                l, eps_l, branches, history = oracle_run(hs, cfg, loss_h, loss_l)
+                assert [r.branch for r in trace.records] == branches
+                assert {"blend", "trunc"} <= set(branches)
+                assert trace.eps_l == eps_l
+                for mine, theirs in zip(trace.l_history, history):
+                    assert np.array_equal(mine, theirs)
+                for t, rec in enumerate(trace.records, start=1):
+                    if rec.branch == "trunc":
+                        n = t - cfg.tau if mode == "literal" and t > cfg.tau \
+                            else min(cfg.tau, t)
+                        assert len(rec.weights) == n
+                replay = initial_trace(hs[0], loss_l)
+                for h, rec in zip(hs[1:], trace.records[1:]):
+                    replay = replay_update(replay, h, rec, cfg)
+                for mine, theirs in zip(replay.l_history, trace.l_history):
+                    assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("T", [200, 480])
+    def test_final_state_is_a_convex_combination(self, T):
+        # the backward seeded with ones at T gives each frame's weight a_t
+        # in l_T = sum_t a_t h_t; clamped and inverse_loss keep it convex
+        for mode in ("sliding", "literal"):
+            for policy in ("clamped", "inverse_loss"):
+                hs, _, _, _, trace = long_run(T, mode, policy)
+                dl_in = np.zeros((T, 3))
+                dl_in[-1] = 1.0
+                dH = _historical_backward(trace.records, dl_in)
+                a = dH[:, 0]
+                assert np.array_equal(dH, a[:, None] * np.ones(3))
+                assert np.all(a >= 0.0)
+                assert abs(a.sum() - 1.0) < 1e-12
+                assert np.max(np.abs(a @ np.stack(hs) - trace.l)) < 1e-12
 
 
 class TestReplay:

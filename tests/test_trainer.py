@@ -385,6 +385,11 @@ class TestGradCheck:
         assert report.max_rel_err > 1e-2
         assert not report.ok
 
+    def test_no_seeds_is_rejected(self):
+        for seeds in (0, -3):
+            with pytest.raises(ValueError, match=f"^seeds must be >= 1, got {seeds}$"):
+                grad_check(seeds=seeds)
+
     def test_placement_all_also_checks(self):
         report = self.small_report(seeds=1, layer_units=(3, 3),
                                    lengths=(4,), hist_placement="all")
