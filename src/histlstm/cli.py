@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .dataio import Dataset, SynthConfig, load_manifest, synth_keyframe_dataset, write_manifest
+from .dataio import (Dataset, SynthConfig, load_manifest, read_lines,
+                     synth_keyframe_dataset, write_manifest)
 from .network import load_checkpoint, save_checkpoint
 from .trainer import (
     TrainConfig,
@@ -34,44 +35,36 @@ class UsageError(Exception):
     """Bad invocation (unknown key, missing input); exits with status 2."""
 
 
-# Every configuration key with its default. Booleans are true/false in the
-# file; units may be a single count (repeated `layers` times) or a
-# comma-separated list that overrides `layers`.
+# Config class fields with their defaults. The CLI sets layer_units from
+# layers/units, signal_window from synth_signal_start/end, and SynthConfig's
+# seed from the one `seed` key.
+_TRAIN = {f.name: f.default for f in fields(TrainConfig) if f.name != "layer_units"}
+_SYNTH = {f.name: f.default for f in fields(SynthConfig)
+          if f.name not in ("signal_window", "seed")}
+
+# Every configuration key with its default: the TrainConfig fields, the
+# SynthConfig fields with a synth_ prefix, and the keys only the CLI has.
+# Booleans are true/false in the file; units may be a single count (repeated
+# `layers` times) or a comma-separated list that overrides `layers`.
 DEFAULTS = {
-    "seed": 0,
-    "epochs": 20,
-    "batch_size": 32,
-    "lr0": 0.001,
-    "decay_base": 0.96,
-    "decay_every": 100000,
-    "l2": 0.004,
-    "dropout_p": 0.5,
-    "lambda_aux": 0.5,
+    **_TRAIN,
+    **{"synth_" + name: default for name, default in _SYNTH.items()},
     "layers": 5,
     "units": "30",
-    "tau": 3,
-    "alpha_policy": "clamped",
-    "window_mode": "sliding",
-    "inference_policy": "pseudo_label",
-    "hist_placement": "top",
-    "peephole": "diag",
-    "use_historical": True,
     "kfolds": 5,
     "manifest": "",
     "checkpoint": "",
     "out": "hlstm-out",
     "synth": False,
-    "synth_classes": 4,
-    "synth_dim": 16,
-    "synth_length": 30,
-    "synth_signal_start": 10,
-    "synth_signal_end": 15,
-    "synth_noise_sigma": 1.0,
-    "synth_distractor": True,
-    "synth_distractor_gain": 1.0,
-    "synth_n_per_class": 50,
+    "synth_signal_start": SynthConfig.signal_window[0],
+    "synth_signal_end": SynthConfig.signal_window[1],
     "gradcheck_seeds": 20,
 }
+
+# Keys with a dedicated flag: --alpha-policy sets alpha_policy, and so on.
+FLAG_KEYS = ("seed", "tau", "alpha_policy", "window_mode", "inference_policy",
+             "hist_placement", "layers", "units", "epochs", "out", "manifest",
+             "checkpoint", "kfolds")
 
 
 def _convert(key: str, raw: str):
@@ -94,10 +87,11 @@ def _convert(key: str, raw: str):
 def parse_config_file(path: str) -> dict:
     out = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        lines = read_lines(path)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -116,7 +110,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
-    for key in DEFAULTS:
+    for key in FLAG_KEYS:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             cfg[key] = flag_val
@@ -145,25 +139,7 @@ def _layer_units(cfg: dict) -> tuple:
 
 def train_config(cfg: dict) -> TrainConfig:
     try:
-        return TrainConfig(
-            lr0=cfg["lr0"],
-            decay_base=cfg["decay_base"],
-            decay_every=cfg["decay_every"],
-            l2=cfg["l2"],
-            batch_size=cfg["batch_size"],
-            dropout_p=cfg["dropout_p"],
-            epochs=cfg["epochs"],
-            seed=cfg["seed"],
-            lambda_aux=cfg["lambda_aux"],
-            layer_units=_layer_units(cfg),
-            tau=cfg["tau"],
-            window_mode=cfg["window_mode"],
-            alpha_policy=cfg["alpha_policy"],
-            inference_policy=cfg["inference_policy"],
-            hist_placement=cfg["hist_placement"],
-            peephole=cfg["peephole"],
-            use_historical=cfg["use_historical"],
-        )
+        return TrainConfig(layer_units=_layer_units(cfg), **{k: cfg[k] for k in _TRAIN})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -171,15 +147,9 @@ def train_config(cfg: dict) -> TrainConfig:
 def synth_config(cfg: dict) -> SynthConfig:
     try:
         return SynthConfig(
-            classes=cfg["synth_classes"],
-            dim=cfg["synth_dim"],
-            length=cfg["synth_length"],
             signal_window=(cfg["synth_signal_start"], cfg["synth_signal_end"]),
-            noise_sigma=cfg["synth_noise_sigma"],
-            distractor=cfg["synth_distractor"],
-            distractor_gain=cfg["synth_distractor_gain"],
             seed=cfg["seed"],
-            n_per_class=cfg["synth_n_per_class"],
+            **{name: cfg["synth_" + name] for name in _SYNTH},
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -313,19 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tau", type=int)
-        p.add_argument("--alpha-policy", dest="alpha_policy")
-        p.add_argument("--window-mode", dest="window_mode")
-        p.add_argument("--inference-policy", dest="inference_policy")
-        p.add_argument("--hist-placement", dest="hist_placement")
-        p.add_argument("--layers", type=int)
-        p.add_argument("--units")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--out", help="output directory (default hlstm-out)")
-        p.add_argument("--manifest")
-        p.add_argument("--checkpoint")
-        p.add_argument("--kfolds", type=int)
+        for key in FLAG_KEYS:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(DEFAULTS[key]),
+                           help=f"set {key} (default {DEFAULTS[key]!r})")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override any config key (repeatable)")
     return parser

@@ -8,6 +8,7 @@ On-disk reals are 32-bit to keep corpora small; everything is widened to
 from __future__ import annotations
 
 import dataclasses
+import io
 import os
 import struct
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import ShapeError
+from .numerics import ShapeError, check_fields
 
 FSEQ_MAGIC = b"FSEQ1"
 _HEADER = struct.Struct("<III")  # T, D, label
@@ -151,6 +152,17 @@ def _int_field(text: str, where: str, what: str) -> int:
         raise ValueError(f"{where}: {what} {text!r} is not an integer") from None
 
 
+def read_lines(path: str) -> list:
+    """A UTF-8 text file's lines, split as text-mode readlines() splits them;
+    a byte that is not UTF-8 is a ValueError naming the file and its offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 at byte {exc.start}") from None
+
+
 def load_manifest(path: str) -> Dataset:
     """Text manifest: a `classes N` header line, then one record per line as
     `relative-path label [fold]`. Blank lines and #-comments are skipped.
@@ -162,9 +174,7 @@ def load_manifest(path: str) -> Dataset:
     sequences: list = []
     folds: list = []
     dim_seen: Optional[tuple] = None  # (D, line number that set it)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -258,22 +268,14 @@ class SynthConfig:
     n_per_class: int = 50
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise ValueError(f"need >= 2 classes, got {self.classes}")
-        if self.dim < 1 or self.length < 1 or self.n_per_class < 1:
-            raise ValueError("dim, length, and n_per_class must be >= 1")
-        if self.distractor_gain < 0:
-            raise ValueError(
-                f"distractor_gain must be >= 0, got {self.distractor_gain}"
-            )
+        check_fields(self, {"classes": 2, "dim": 1, "length": 1, "n_per_class": 1,
+                            "noise_sigma": 0, "distractor_gain": 0, "seed": 0})
         start, end = self.signal_window
         if not 0 <= start < end <= self.length:
             raise ValueError(
                 f"signal_window must satisfy 0 <= start < end <= length, "
                 f"got {self.signal_window} with length {self.length}"
             )
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 def class_directions(cfg: SynthConfig) -> np.ndarray:

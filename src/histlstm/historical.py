@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cells import HeadParams, head_predict
-from .numerics import EPS_LOSS_FLOOR, ShapeError, cross_entropy
+from .numerics import EPS_LOSS_FLOOR, ShapeError, check_fields, cross_entropy
 
 ALPHA_POLICIES = ("literal", "clamped", "inverse_loss")
 WINDOW_MODES = ("sliding", "literal")
@@ -45,8 +45,7 @@ class HistoricalConfig:
     inference_policy: str = "pseudo_label"
 
     def __post_init__(self):
-        if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
+        check_fields(self, {"tau": 1})
         if self.window_mode not in WINDOW_MODES:
             raise ValueError(f"unknown window_mode {self.window_mode!r}")
         if self.alpha_policy not in ALPHA_POLICIES:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional, Sequence
 
@@ -58,11 +58,11 @@ class StackedNetwork:
     layers: list  # of LstmParams, input side first
     per_step_head: HeadParams  # scores top-layer responses
     final_head: HeadParams  # scores historical states; emits the final prediction
-    aux_heads: list = field(default_factory=list)  # per lower layer, "all" placement only
-    dropout_p: float = 0.5
-    hist_cfg: HistoricalConfig = field(default_factory=HistoricalConfig)
-    hist_placement: str = "top"
-    use_historical: bool = True
+    aux_heads: list  # per lower layer, "all" placement only
+    dropout_p: float
+    hist_cfg: HistoricalConfig
+    hist_placement: str
+    use_historical: bool
 
     def __post_init__(self):
         if self.hist_placement not in HIST_PLACEMENTS:
@@ -714,7 +714,9 @@ def load_checkpoint(path: str) -> StackedNetwork:
     peep_i, place_i, use_hist, alpha_i, window_i, infer_i = struct.unpack(
         "<6B", take(6)
     )
+    tau_at = pos
     (tau,) = struct.unpack("<I", take(4))
+    dropout_at = pos
     (dropout_p,) = struct.unpack("<d", take(8))
     for idx, options, what in (
         (peep_i, PEEPHOLE_MODES, "peephole mode"),
@@ -725,24 +727,32 @@ def load_checkpoint(path: str) -> StackedNetwork:
     ):
         if idx >= len(options):
             raise ValueError(f"{path}: bad {what} tag {idx}")
-
-    # Build a throwaway network with the right shapes, then fill it.
-    net = build_network(
-        rng=np.random.default_rng(0),
-        input_dim=input_dim,
-        layer_units=units,
-        n_classes=n_classes,
-        dropout_p=dropout_p,
-        hist_cfg=HistoricalConfig(
+    try:
+        hist_cfg = HistoricalConfig(
             tau=tau,
             window_mode=WINDOW_MODES[window_i],
             alpha_policy=ALPHA_POLICIES[alpha_i],
             inference_policy=INFERENCE_POLICIES[infer_i],
-        ),
-        hist_placement=HIST_PLACEMENTS[place_i],
-        peephole=PEEPHOLE_MODES[peep_i],
-        use_historical=bool(use_hist),
-    )
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: byte {tau_at}: {exc}") from None
+
+    # Build a throwaway network with the right shapes, then fill it. The tags
+    # and sizes are checked above, so dropout_p is the one field it can reject.
+    try:
+        net = build_network(
+            rng=np.random.default_rng(0),
+            input_dim=input_dim,
+            layer_units=units,
+            n_classes=n_classes,
+            dropout_p=dropout_p,
+            hist_cfg=hist_cfg,
+            hist_placement=HIST_PLACEMENTS[place_i],
+            peephole=PEEPHOLE_MODES[peep_i],
+            use_historical=bool(use_hist),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: byte {dropout_at}: {exc}") from None
     for name, arr in net.param_blocks():
         chunk = take(arr.size * 8)
         arr[...] = np.frombuffer(chunk, dtype="<f8").reshape(arr.shape)

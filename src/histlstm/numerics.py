@@ -1,4 +1,5 @@
-"""Dense vector/matrix primitives, activations, losses, and finite differences.
+"""Dense vector/matrix primitives, activations, losses, finite differences,
+and the range checks of the config classes.
 
 Everything here works on plain float64 numpy arrays: vectors are 1-D,
 matrices are 2-D row-major. All public operations keep values finite and
@@ -7,6 +8,8 @@ raise ShapeError on dimension mismatches.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from typing import Callable
 
 import numpy as np
@@ -18,6 +21,18 @@ EPS_LOSS_FLOOR = 1e-6
 
 class ShapeError(ValueError):
     """Raised when operand dimensions do not compose."""
+
+
+def check_fields(cfg, minimums: dict) -> None:
+    """Reject a config dataclass whose float fields are not finite, or whose
+    named fields fall below their minimum; every message names the field."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+    for name, low in minimums.items():
+        if getattr(cfg, name) < low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
 
 
 def as_vec(x) -> np.ndarray:

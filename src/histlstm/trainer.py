@@ -24,7 +24,7 @@ from .network import (
     total_loss,
     zero_grads,
 )
-from .numerics import ShapeError, finite_diff
+from .numerics import ShapeError, check_fields, finite_diff
 
 
 @dataclass(frozen=True)
@@ -41,27 +41,22 @@ class TrainConfig:
     seed: int = 0
     lambda_aux: float = 0.5
     layer_units: tuple = (30, 30, 30, 30, 30)
-    tau: int = 3
-    window_mode: str = "sliding"
-    alpha_policy: str = "clamped"
-    inference_policy: str = "pseudo_label"
+    tau: int = HistoricalConfig.tau
+    window_mode: str = HistoricalConfig.window_mode
+    alpha_policy: str = HistoricalConfig.alpha_policy
+    inference_policy: str = HistoricalConfig.inference_policy
     hist_placement: str = "top"
     peephole: str = "diag"
     use_historical: bool = True
 
     def __post_init__(self):
-        if self.lr0 <= 0 or self.decay_base <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.decay_every < 1:
-            raise ValueError("decay_every must be >= 1 step")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.l2 < 0 or self.lambda_aux < 0:
-            raise ValueError("penalty weights must be >= 0")
+        for name in ("lr0", "decay_base"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        check_fields(self, {"decay_every": 1, "batch_size": 1, "epochs": 0,
+                            "seed": 0, "l2": 0, "lambda_aux": 0})
         if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must be in [0, 1)")
+            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         object.__setattr__(self, "layer_units", tuple(int(u) for u in self.layer_units))
         if not self.layer_units or min(self.layer_units) < 1:
             raise ValueError(f"need >= 1 layer of >= 1 unit, got layer_units={self.layer_units}")

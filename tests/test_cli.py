@@ -11,7 +11,9 @@ import pytest
 
 from histlstm.cli import (
     DEFAULTS,
+    FLAG_KEYS,
     UsageError,
+    build_parser,
     parse_config_file,
     resolve_config,
     run,
@@ -89,6 +91,12 @@ class TestConfigFile:
         with pytest.raises(UsageError, match="cannot read"):
             parse_config_file(str(tmp_path / "absent.cfg"))
 
+    def test_non_utf8_file_exits_2_naming_file_and_byte(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed=1\n\xff\n")
+        assert run(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 at byte 7\n"
+
 
 class TestResolution:
     def test_flag_beats_file_and_set_beats_flag(self, tmp_path):
@@ -129,6 +137,23 @@ class TestResolution:
                  for key, val in DEFAULTS.items()}
         assert table == shown
 
+    FLAGS = {"--seed": "seed", "--tau": "tau", "--alpha-policy": "alpha_policy",
+             "--window-mode": "window_mode", "--inference-policy": "inference_policy",
+             "--hist-placement": "hist_placement", "--layers": "layers",
+             "--units": "units", "--epochs": "epochs", "--out": "out",
+             "--manifest": "manifest", "--checkpoint": "checkpoint",
+             "--kfolds": "kfolds"}
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_flag_resolves_like_set(self, flag):
+        key = self.FLAGS[flag]
+        assert sorted(self.FLAGS.values()) == sorted(FLAG_KEYS)
+        text = "7" if type(DEFAULTS[key]) is int else "8,4"
+        by_flag = resolve_config(build_parser().parse_args(["cv", flag, text]))
+        by_set = resolve_config(build_parser().parse_args(["cv", "--set", f"{key}={text}"]))
+        assert by_flag == by_set
+        assert by_flag[key] != DEFAULTS[key]
+
     def test_bad_train_value_becomes_usage_error(self):
         cfg = dict(DEFAULTS)
         cfg.update(dropout_p=1.5)
@@ -168,6 +193,13 @@ class TestExitCodes:
         "hist_placement": ("--set", "hist_placement=middle"),
         "peephole": ("--set", "peephole=x"),
         "layers": ("--layers", "0"),
+        "lr0": ("--set", "lr0=nan"),
+        "decay_base": ("--set", "decay_base=nan"),
+        "l2": ("--set", "l2=inf"),
+        "lambda_aux": ("--set", "lambda_aux=nan"),
+        "noise_sigma": ("--set", "synth_noise_sigma=nan"),
+        "distractor_gain": ("--set", "synth_distractor_gain=nan"),
+        "seed": ("--seed", "-1"),
     }
 
     @pytest.mark.parametrize("key", BAD_VALUES)
@@ -177,6 +209,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key.rstrip("s") in err
+
+    @pytest.mark.parametrize("command, args, key", [
+        ("train", ("--set", "lr0=inf"), "lr0"),
+        ("synth", ("--seed", "-1"), "seed"),
+        ("cv", ("--seed", "-1"), "seed"),
+    ])
+    def test_bad_value_exits_2_from_each_command(self, tmp_path, capsys, command, args, key):
+        assert run([command, *synth_args(tmp_path, *args)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["cv", "sweep-tau"])
     def test_kfolds_below_2_exits_2(self, tmp_path, capsys, command):
@@ -201,6 +243,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "model.ckpt: checkpoint declares layer 0 units 0" in err
+
+    def test_non_utf8_manifest_exits_1_naming_file_and_byte(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_bytes(b"classes 2\n\xff.fseq 0\n")
+        assert run(["train", "--out", str(tmp_path / "out"), "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: {manifest}: not UTF-8 at byte 10\n"
 
     def test_eval_dim_mismatch_exits_1(self, tmp_path, capsys):
         assert run(["train", *synth_args(tmp_path)]) == 0

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -469,6 +470,22 @@ class TestCheckpoint:
         blob[offset:offset + 4] = bytes(4)
         open(path, "wb").write(bytes(blob))
         with pytest.raises(ValueError, match=f"net.ckpt: checkpoint declares {field}"):
+            load_checkpoint(path)
+
+    # a 1-layer header: 26 bytes up to the units, 6 tag bytes, then tau, dropout_p
+    @pytest.mark.parametrize("offset, value, message", [
+        (32, bytes(4), r"tau must be >= 1, got 0"),
+        (36, struct.pack("<d", math.nan), r"dropout_p must be in \[0, 1\), got nan"),
+    ], ids=["tau", "dropout_p"])
+    def test_out_of_range_header_field_names_file_and_offset(self, tmp_path, offset,
+                                                             value, message):
+        net = tiny_net(seed=40, units=(3,))
+        path = os.path.join(tmp_path, "net.ckpt")
+        save_checkpoint(net, path)
+        blob = bytearray(open(path, "rb").read())
+        blob[offset:offset + len(value)] = value
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(ValueError, match=f"net.ckpt: byte {offset}: {message}$"):
             load_checkpoint(path)
 
 
