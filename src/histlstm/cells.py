@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ShapeError, affine, sigmoid, softmax
+from .numerics import ShapeError, sigmoid, softmax
 
 PEEPHOLE_MODES = ("diag", "full")
 
@@ -110,9 +110,9 @@ def peep_apply(P: np.ndarray, c: np.ndarray) -> np.ndarray:
     return P * c if P.ndim == 1 else P @ c
 
 
-def head_predict(head: HeadParams, h: np.ndarray) -> np.ndarray:
-    """softmax(c + V h)."""
-    return softmax(affine(head.V, h, head.c))
+def head_predict(head: HeadParams, S: np.ndarray) -> np.ndarray:
+    """softmax(c + V s) for one state s (U,), or for each row of a stack (n, U)."""
+    return softmax(S @ head.V.T + head.c)
 
 
 def lstm_step(p: LstmParams, s_prev: LstmState, x: np.ndarray) -> LstmState:

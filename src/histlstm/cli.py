@@ -132,9 +132,12 @@ def _at_least(cfg: dict, key: str, low: int) -> int:
 
 def _layer_units(cfg: dict) -> tuple:
     units = str(cfg["units"])
-    if "," in units:
-        return tuple(int(u) for u in units.split(",") if u.strip())
-    return (int(units),) * int(cfg["layers"])
+    try:
+        if "," in units:
+            return tuple(int(u) for u in units.split(",") if u.strip())
+        return (int(units),) * int(cfg["layers"])
+    except ValueError as exc:
+        raise UsageError(f"bad value for units: {exc}") from None
 
 
 def train_config(cfg: dict) -> TrainConfig:

@@ -285,14 +285,6 @@ def _layer_forward(p: LstmParams, X: np.ndarray) -> LayerTrace:
     return LayerTrace(x=X, h=H, c=C, tc=TC, i=I, f=F, g=G, o=O)
 
 
-def _head_probs_rows(head: HeadParams, H: np.ndarray) -> np.ndarray:
-    """Row-wise softmax(c + V h_t) over all timesteps in one pass."""
-    Z = H @ head.V.T + head.c
-    Z = Z - Z.max(axis=1, keepdims=True)
-    E = np.exp(Z)
-    return E / E.sum(axis=1, keepdims=True)
-
-
 def _scored_layers(net: StackedNetwork) -> list:
     """Indices of layers that maintain a historical state."""
     if not net.use_historical:
@@ -395,7 +387,7 @@ def forward_sequence(
         top = k == L - 1
         if top or k in scored:
             h_head, _ = _scoring_heads(net, k)
-            probs_k = _head_probs_rows(h_head, lt.h)
+            probs_k = head_predict(h_head, lt.h)
             if top:
                 step_probs = probs_k
             else:
@@ -655,6 +647,21 @@ def _index_of(value: str, options: tuple, what: str) -> int:
         raise ValueError(f"unknown {what} {value!r}") from None
 
 
+def param_count(input_dim: int, layer_units: Sequence[int], n_classes: int,
+                hist_placement: str, peephole: str) -> int:
+    """Size of flatten_params() for a network of this shape, worked out
+    without allocating it, so a checkpoint's header can be checked first."""
+    count = 0
+    d = input_dim
+    for u in layer_units:
+        peep = u if peephole == "diag" else u * u
+        count += 4 * (u * d + u * u + u) + 3 * peep
+        d = u
+    head_widths = list(layer_units[:-1]) if hist_placement == "all" else []
+    head_widths += [layer_units[-1]] * 2  # per-step and final heads
+    return count + sum(n_classes * (u + 1) for u in head_widths)
+
+
 def save_checkpoint(net: StackedNetwork, path: str) -> None:
     """Binary snapshot: versioned header, then every parameter block as raw
     64-bit little-endian floats in the canonical block order."""
@@ -707,7 +714,8 @@ def load_checkpoint(path: str) -> StackedNetwork:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     (n_layers,) = struct.unpack("<I", take(4))
     units = list(struct.unpack(f"<{n_layers}I", take(4 * n_layers)))
-    sizes = [("layer count", n_layers), ("input_dim", input_dim)]
+    sizes = [("layer count", n_layers), ("input_dim", input_dim),
+             ("class count", n_classes)]
     for what, value in sizes + [(f"layer {k} units", u) for k, u in enumerate(units)]:
         if value < 1:
             raise ValueError(f"{path}: checkpoint declares {what} {value}")
@@ -736,6 +744,16 @@ def load_checkpoint(path: str) -> StackedNetwork:
         )
     except ValueError as exc:
         raise ValueError(f"{path}: byte {tau_at}: {exc}") from None
+    placement, peephole = HIST_PLACEMENTS[place_i], PEEPHOLE_MODES[peep_i]
+    n_params = param_count(input_dim, units, n_classes, placement, peephole)
+    end = pos + 8 * n_params
+    if end > len(raw):
+        raise ValueError(
+            f"{path}: truncated checkpoint at byte {len(raw)}: the header declares "
+            f"{n_params} parameters, ending at byte {end}"
+        )
+    if end < len(raw):
+        raise ValueError(f"{path}: {len(raw) - end} trailing bytes after parameters")
 
     # Build a throwaway network with the right shapes, then fill it. The tags
     # and sizes are checked above, so dropout_p is the one field it can reject.
@@ -747,17 +765,13 @@ def load_checkpoint(path: str) -> StackedNetwork:
             n_classes=n_classes,
             dropout_p=dropout_p,
             hist_cfg=hist_cfg,
-            hist_placement=HIST_PLACEMENTS[place_i],
-            peephole=PEEPHOLE_MODES[peep_i],
+            hist_placement=placement,
+            peephole=peephole,
             use_historical=bool(use_hist),
         )
     except ValueError as exc:
         raise ValueError(f"{path}: byte {dropout_at}: {exc}") from None
-    for name, arr in net.param_blocks():
-        chunk = take(arr.size * 8)
-        arr[...] = np.frombuffer(chunk, dtype="<f8").reshape(arr.shape)
-    if pos != len(raw):
-        raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after parameters")
+    net.set_flat(np.frombuffer(raw, dtype="<f8", count=n_params, offset=pos))
     return net
 
 

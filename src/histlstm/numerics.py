@@ -2,8 +2,8 @@
 and the range checks of the config classes.
 
 Everything here works on plain float64 numpy arrays: vectors are 1-D,
-matrices are 2-D row-major. All public operations keep values finite and
-raise ShapeError on dimension mismatches.
+matrices are 2-D row-major; softmax works over the last axis. All public
+operations keep values finite.
 """
 
 from __future__ import annotations
@@ -42,25 +42,6 @@ def as_vec(x) -> np.ndarray:
     return v
 
 
-def as_mat(x) -> np.ndarray:
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {m.shape}")
-    return m
-
-
-def affine(W: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W @ x + b with explicit shape checking."""
-    W = as_mat(W)
-    x = as_vec(x)
-    b = as_vec(b)
-    if W.shape[1] != x.shape[0]:
-        raise ShapeError(f"matrix {W.shape} cannot multiply vector {x.shape}")
-    if W.shape[0] != b.shape[0]:
-        raise ShapeError(f"matrix {W.shape} cannot add bias {b.shape}")
-    return W @ x + b
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function via the tanh identity, stable for any magnitude:
     exp never overflows and saturation lands exactly on 0.0 / 1.0."""
@@ -69,13 +50,12 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Probability vector exp(z - max z) / sum; shift-invariant and overflow-safe."""
-    z = as_vec(z)
+    """exp(z - max z) / sum over the last axis; shift-invariant and overflow-safe."""
+    z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError(f"softmax input must be finite, got {z}")
-    shifted = z - np.max(z)
-    e = np.exp(shifted)
-    return e / np.sum(e)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(p: np.ndarray, label: int) -> float:

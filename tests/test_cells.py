@@ -41,6 +41,40 @@ class TestHeadPredict:
         p = head_predict(head, np.array([5.0, 0.0]))
         assert p[0] > 0.99 and abs(p.sum() - 1.0) < 1e-12
 
+    def test_one_state_matches_vector_formula_bitwise(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            C, U = int(rng.integers(2, 6)), int(rng.integers(1, 33))
+            head = init_head(rng, U, C)
+            head.c[:] = rng.standard_normal(C)
+            h = rng.standard_normal(U)
+            z = head.V @ h + head.c
+            e = np.exp(z - np.max(z))
+            assert np.array_equal(head_predict(head, h), e / np.sum(e))
+
+    def test_stack_matches_row_formula_bitwise_and_each_state(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            C, U = int(rng.integers(2, 6)), int(rng.integers(1, 33))
+            T = int(rng.integers(1, 40))
+            head = init_head(rng, U, C)
+            head.c[:] = rng.standard_normal(C)
+            H = rng.standard_normal((T, U))
+            Z = H @ head.V.T + head.c
+            Z = Z - Z.max(axis=1, keepdims=True)
+            E = np.exp(Z)
+            P = head_predict(head, H)
+            assert np.array_equal(P, E / E.sum(axis=1, keepdims=True))
+            for h, p in zip(H, P):
+                assert np.allclose(p, head_predict(head, h), rtol=0.0, atol=1e-15)
+
+    def test_non_finite_row_in_stack_is_rejected(self):
+        head = init_head(np.random.default_rng(13), 3, 4)
+        H = np.ones((5, 3))
+        H[2, 1] = np.nan
+        with pytest.raises(ValueError, match="softmax input must be finite"):
+            head_predict(head, H)
+
 
 class TestLstmStep:
     def test_all_zero(self):

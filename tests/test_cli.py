@@ -200,6 +200,7 @@ class TestExitCodes:
         "noise_sigma": ("--set", "synth_noise_sigma=nan"),
         "distractor_gain": ("--set", "synth_distractor_gain=nan"),
         "seed": ("--seed", "-1"),
+        "units": ("--units", "abc"),
     }
 
     @pytest.mark.parametrize("key", BAD_VALUES)
@@ -243,6 +244,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "model.ckpt: checkpoint declares layer 0 units 0" in err
+
+    def test_eval_huge_class_count_checkpoint_exits_1(self, tmp_path, capsys):
+        assert run(["train", *synth_args(tmp_path)]) == 0
+        ckpt = tmp_path / "out" / "model.ckpt"
+        blob = bytearray(ckpt.read_bytes())
+        blob[10:14] = b"\xff" * 4  # class count 2**32 - 1
+        ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        code = run(["eval", *synth_args(tmp_path, "--checkpoint", str(ckpt))])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: truncated checkpoint at byte ")
+        assert err.count("\n") == 1
 
     def test_non_utf8_manifest_exits_1_naming_file_and_byte(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.txt"

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from histlstm.cells import HeadParams, LstmState, head_predict, lstm_step
+from histlstm.cells import PEEPHOLE_MODES, HeadParams, LstmState, head_predict, lstm_step
 from dataclasses import replace
 
 from histlstm import historical
@@ -24,6 +24,7 @@ from histlstm.network import (
     forward_sequence,
     is_weight_matrix,
     load_checkpoint,
+    param_count,
     predict,
     save_checkpoint,
     total_loss,
@@ -458,6 +459,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("offset, field", [
+        (10, "class count 0"),      # 6 magic + version
         (14, "input_dim 0"),        # 6 magic + version + n_classes
         (18, "layer count 0"),
         (22, "layer 0 units 0"),
@@ -487,6 +489,28 @@ class TestCheckpoint:
         open(path, "wb").write(bytes(blob))
         with pytest.raises(ValueError, match=f"net.ckpt: byte {offset}: {message}$"):
             load_checkpoint(path)
+
+    def test_huge_class_count_is_rejected_before_allocating(self, tmp_path):
+        # 2**32 - 1 classes would need a 96 GiB head: the header is checked
+        # against the file's size before any parameter array exists
+        net = tiny_net(seed=40, units=(3,), n_classes=2)
+        path = os.path.join(tmp_path, "net.ckpt")
+        save_checkpoint(net, path)
+        blob = bytearray(open(path, "rb").read())
+        blob[10:14] = b"\xff" * 4
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value).startswith(f"{path}: truncated checkpoint at byte {len(blob)}")
+
+    def test_param_count_matches_flatten(self):
+        for placement in HIST_PLACEMENTS:
+            for peephole in PEEPHOLE_MODES:
+                for units in ((3,), (3, 4), (2, 5, 3)):
+                    net = tiny_net(seed=45, units=units, input_dim=4, n_classes=5,
+                                   placement=placement, peephole=peephole)
+                    count = param_count(4, units, 5, placement, peephole)
+                    assert count == net.flatten_params().size
 
 
 class TestNetworkShape:

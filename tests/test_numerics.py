@@ -5,35 +5,11 @@ import pytest
 
 from histlstm.numerics import (
     EPS_LOSS_FLOOR,
-    ShapeError,
-    affine,
     cross_entropy,
     finite_diff,
     sigmoid,
     softmax,
 )
-
-
-class TestAffine:
-    def test_identity(self):
-        out = affine(np.eye(2), np.array([3.0, -1.0]), np.zeros(2))
-        assert np.array_equal(out, [3.0, -1.0])
-
-    def test_zero_matrix_returns_bias(self):
-        out = affine(np.zeros((2, 2)), np.array([9.0, -4.0]), np.array([1.0, 2.0]))
-        assert np.array_equal(out, [1.0, 2.0])
-
-    def test_hand_evaluated(self):
-        out = affine(np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones(2), np.zeros(2))
-        assert np.array_equal(out, [3.0, 7.0])
-
-    def test_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError) as exc:
-            affine(np.zeros((2, 3)), np.zeros(4), np.zeros(2))
-        assert "(2, 3)" in str(exc.value) and "(4,)" in str(exc.value)
-        with pytest.raises(ShapeError) as exc:
-            affine(np.zeros((2, 3)), np.zeros(3), np.zeros(5))
-        assert "(2, 3)" in str(exc.value) and "(5,)" in str(exc.value)
 
 
 class TestSigmoid:
@@ -97,6 +73,16 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax(np.array([np.nan, 0.0]))
 
+    def test_rows_equal_vector_softmax_bitwise(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n, C = int(rng.integers(1, 12)), int(rng.integers(1, 41))
+            Z = rng.standard_normal((n, C)) * 10
+            P = softmax(Z)
+            assert P.shape == Z.shape
+            for z, p in zip(Z, P):
+                assert np.array_equal(p, softmax(z))
+
 
 class TestCrossEntropy:
     def test_perfect_prediction_hits_floor(self):
@@ -145,8 +131,8 @@ class TestFiniteDiff:
         assert np.allclose(g, [-0.5, 0.5], atol=1e-6)
 
     def test_linear_function_is_exact_to_roundoff(self):
-        # Central differences have no truncation error on affine functions,
-        # so the harness's own noise floor is tiny.
+        # Central differences have no truncation error on a linear function
+        # plus a constant, so the harness's own noise floor is tiny.
         rng = np.random.default_rng(5)
         a = rng.standard_normal(6)
         theta = rng.standard_normal(6)
