@@ -2,7 +2,10 @@
 
 Parameters are plain float64 numpy arrays held in dataclasses. Step
 functions are pure: they never mutate their inputs, so one parameter set
-can serve many concurrent sequence evaluations.
+can serve many concurrent sequence evaluations. Every block may carry one
+leading axis K, a stack of K parameter sets; shapes are then read from the
+trailing axes, and the functions here apply set k to row k of a stacked
+state.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ class HeadParams:
     c: np.ndarray  # class bias
 
     def __post_init__(self):
-        if self.V.shape[0] != self.c.shape[0]:
+        if self.V.ndim < 2 or self.V.shape[:-1] != self.c.shape:
             raise ShapeError(f"head shapes disagree: V={self.V.shape} c={self.c.shape}")
 
     @property
     def n_classes(self) -> int:
-        return self.c.shape[0]
+        return self.c.shape[-1]
 
 
 @dataclass
@@ -58,35 +61,36 @@ class LstmParams:
     b_o: np.ndarray
 
     def __post_init__(self):
-        u = self.U_i.shape[0]
-        d = self.U_i.shape[1]
-        for name in ("U_i", "U_f", "U_c", "U_o"):
-            if getattr(self, name).shape != (u, d):
-                raise ShapeError(f"{name} has shape {getattr(self, name).shape}, expected {(u, d)}")
-        for name in ("W_i", "W_f", "W_c", "W_o"):
-            if getattr(self, name).shape != (u, u):
-                raise ShapeError(f"{name} has shape {getattr(self, name).shape}, expected {(u, u)}")
+        *lead, u, d = self.U_i.shape
+        lead = tuple(lead)
         pshape = self.P_i.shape
-        if pshape not in ((u,), (u, u)):
-            raise ShapeError(f"peephole shape {pshape} is neither diag ({u},) nor full {(u, u)}")
-        for name in ("P_i", "P_f", "P_o"):
-            if getattr(self, name).shape != pshape:
-                raise ShapeError(f"{name} has shape {getattr(self, name).shape}, expected {pshape}")
-        for name in ("b_i", "b_f", "b_c", "b_o"):
-            if getattr(self, name).shape != (u,):
-                raise ShapeError(f"{name} has shape {getattr(self, name).shape}, expected {(u,)}")
+        if pshape not in (lead + (u,), lead + (u, u)):
+            raise ShapeError(
+                f"peephole shape {pshape} is neither diag {lead + (u,)} nor full {lead + (u, u)}"
+            )
+        for names, shape in (
+            (("U_i", "U_f", "U_c", "U_o"), lead + (u, d)),
+            (("W_i", "W_f", "W_c", "W_o"), lead + (u, u)),
+            (("P_i", "P_f", "P_o"), pshape),
+            (("b_i", "b_f", "b_c", "b_o"), lead + (u,)),
+        ):
+            for name in names:
+                if getattr(self, name).shape != shape:
+                    raise ShapeError(
+                        f"{name} has shape {getattr(self, name).shape}, expected {shape}"
+                    )
 
     @property
     def units(self) -> int:
-        return self.U_i.shape[0]
+        return self.U_i.shape[-2]
 
     @property
     def input_dim(self) -> int:
-        return self.U_i.shape[1]
+        return self.U_i.shape[-1]
 
     @property
     def peephole(self) -> str:
-        return "diag" if self.P_i.ndim == 1 else "full"
+        return "diag" if self.P_i.ndim < self.U_i.ndim else "full"
 
 
 @dataclass
@@ -105,14 +109,30 @@ class LstmState:
         return cls(h=np.zeros(units), c=np.zeros(units))
 
 
+def matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for one matrix (U, U) and vector (U,), or M[k] v[k] for each k of
+    a stack (K, U, U) and (K, U); either way one BLAS matrix-vector product
+    per parameter set."""
+    return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
+
+
 def peep_apply(P: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Cell-state peephole contribution: elementwise for diag, matvec for full."""
-    return P * c if P.ndim == 1 else P @ c
+    return P * c if P.ndim == c.ndim else matvec(P, c)
 
 
 def head_predict(head: HeadParams, S: np.ndarray) -> np.ndarray:
-    """softmax(c + V s) for one state s (U,), or for each row of a stack (n, U)."""
-    return softmax(S @ head.V.T + head.c)
+    """softmax(c + V s) for one state s (U,), or for each row of a stack (n, U).
+
+    A stacked head (V (K, C, U), c (K, C)) scores S (K, U), one state per
+    parameter set, or S (K, n, U), a stack of states per parameter set.
+    """
+    if head.V.ndim == 2:
+        return softmax(S @ head.V.T + head.c)
+    VT = np.swapaxes(head.V, -1, -2)
+    if S.ndim == 2:
+        return softmax((S[:, None, :] @ VT)[:, 0, :] + head.c)
+    return softmax(S @ VT + head.c[:, None, :])
 
 
 def lstm_step(p: LstmParams, s_prev: LstmState, x: np.ndarray) -> LstmState:

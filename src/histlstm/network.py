@@ -10,6 +10,7 @@ state vectors, never through the loss ratios that picked them.
 from __future__ import annotations
 
 import copy
+import operator
 import struct
 from dataclasses import dataclass, replace
 from functools import partial
@@ -24,6 +25,7 @@ from .cells import (
     head_predict,
     init_head,
     init_lstm_params,
+    matvec,
     peep_apply,
 )
 from .historical import (
@@ -76,9 +78,9 @@ class StackedNetwork:
                 )
         if self.per_step_head.n_classes != self.final_head.n_classes:
             raise ShapeError("per-step and final heads disagree on class count")
-        if self.per_step_head.V.shape[1] != self.layers[-1].units:
+        if self.per_step_head.V.shape[-1] != self.layers[-1].units:
             raise ShapeError("per-step head width does not match the top layer")
-        if self.final_head.V.shape[1] != self.layers[-1].units:
+        if self.final_head.V.shape[-1] != self.layers[-1].units:
             raise ShapeError("final head width does not match the top layer")
         n_aux = len(self.layers) - 1 if self.hist_placement == "all" else 0
         if len(self.aux_heads) != n_aux:
@@ -87,7 +89,7 @@ class StackedNetwork:
                 f"got {len(self.aux_heads)}"
             )
         for k, head in enumerate(self.aux_heads):
-            if head.V.shape[1] != self.layers[k].units:
+            if head.V.shape[-1] != self.layers[k].units:
                 raise ShapeError(f"aux head {k} width does not match layer {k}")
             if head.n_classes != self.n_classes:
                 raise ShapeError(f"aux head {k} disagrees on class count")
@@ -95,6 +97,11 @@ class StackedNetwork:
     @property
     def n_classes(self) -> int:
         return self.final_head.n_classes
+
+    @property
+    def stack_shape(self) -> tuple:
+        """() for one parameter set, (K,) for a stack of K (see with_params)."""
+        return self.final_head.c.shape[:-1]
 
     @property
     def input_dim(self) -> int:
@@ -143,21 +150,41 @@ class StackedNetwork:
 
     def set_flat(self, theta: np.ndarray) -> None:
         """Overwrite all parameters in place from a flat vector (canonical order)."""
-        theta = np.asarray(theta, dtype=np.float64)
-        blocks = self.param_blocks()
-        need = sum(arr.size for _, arr in blocks)
-        if theta.size != need:
-            raise ShapeError(
-                f"flat vector has {theta.size} entries, network needs {need}"
-            )
-        pos = 0
-        for _, arr in blocks:
-            n = arr.size
-            arr[...] = theta[pos:pos + n].reshape(arr.shape)
-            pos += n
+        for (_, arr), view in zip(self.param_blocks(), self._block_views(np.ravel(theta))):
+            arr[...] = view
 
     def clone(self) -> "StackedNetwork":
         return copy.deepcopy(self)
+
+    def with_params(self, thetas: np.ndarray) -> "StackedNetwork":
+        """This network's shape and settings with its blocks viewing thetas:
+        one flat vector (P,) in param_blocks() order, or a stack (K, P), which
+        gives every block a leading axis K. A stacked network runs replayed
+        forward passes and total_loss for all K parameter sets at once."""
+        # param_blocks order: each layer's LSTM_FIELDS (LstmParams' field
+        # order), then each head's V and c: aux heads, per-step, final.
+        views = iter(self._block_views(thetas))
+        layers = [LstmParams(*(next(views) for _ in LSTM_FIELDS)) for _ in self.layers]
+        heads = [HeadParams(next(views), next(views)) for _ in range(len(self.aux_heads) + 2)]
+        return replace(self, layers=layers, aux_heads=heads[:-2],
+                       per_step_head=heads[-2], final_head=heads[-1])
+
+    def _block_views(self, thetas) -> list:
+        """Views of thetas (P,) or (K, P), shaped like each parameter block in
+        param_blocks() order, with the leading K of a stack."""
+        thetas = np.asarray(thetas, dtype=np.float64)
+        blocks = self.param_blocks()
+        need = sum(arr.size for _, arr in blocks)
+        if self.stack_shape or thetas.ndim not in (1, 2) or thetas.shape[-1] != need:
+            raise ShapeError(
+                f"parameter stack has shape {thetas.shape}, network needs ({need},) or (K, {need})"
+            )
+        views = []
+        pos = 0
+        for _, arr in blocks:
+            views.append(thetas[..., pos:pos + arr.size].reshape(thetas.shape[:-1] + arr.shape))
+            pos += arr.size
+        return views
 
 
 def is_weight_matrix(name: str) -> bool:
@@ -216,12 +243,13 @@ class LayerTrace:
 
     x: np.ndarray  # (T, in_dim) inputs actually fed (post-dropout of the layer below)
     h: np.ndarray  # (T, U)
-    c: np.ndarray
-    tc: np.ndarray  # tanh(c), cached
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
+    # The rest only BPTT reads, so a stacked pass leaves them None.
+    c: Optional[np.ndarray]
+    tc: Optional[np.ndarray]  # tanh(c), cached
+    i: Optional[np.ndarray]
+    f: Optional[np.ndarray]
+    g: Optional[np.ndarray]
+    o: Optional[np.ndarray]
 
 
 @dataclass
@@ -236,7 +264,7 @@ class ForwardTrace:
 
     @property
     def T(self) -> int:
-        return self.layers[0].h.shape[0]
+        return self.layers[0].h.shape[-2]
 
 
 def _frames_of(x) -> np.ndarray:
@@ -248,40 +276,48 @@ def _frames_of(x) -> np.ndarray:
 
 
 def _layer_forward(p: LstmParams, X: np.ndarray) -> LayerTrace:
-    T = X.shape[0]
-    U = p.units
-    if X.shape[1] != p.input_dim:
-        raise ShapeError(f"layer expects input dim {p.input_dim}, got {X.shape[1]}")
-    # Input contributions for all timesteps at once; the recurrent parts stay
-    # in the step loop.
-    zx_i = X @ p.U_i.T + p.b_i
-    zx_f = X @ p.U_f.T + p.b_f
-    zx_c = X @ p.U_c.T + p.b_c
-    zx_o = X @ p.U_o.T + p.b_o
-    H = np.empty((T, U))
-    C = np.empty((T, U))
-    TC = np.empty((T, U))
-    I = np.empty((T, U))
-    F = np.empty((T, U))
-    G = np.empty((T, U))
-    O = np.empty((T, U))
-    h = np.zeros(U)
-    c = np.zeros(U)
+    """One layer over X (T, D); with stacked parameters (leading axis K), X
+    is (T, D) shared by every set or (K, T, D), h is (K, T, U), and the gates
+    and cell states are not kept."""
+    T = X.shape[-2]
+    if X.shape[-1] != p.input_dim:
+        raise ShapeError(f"layer expects input dim {p.input_dim}, got {X.shape[-1]}")
+    stacked = p.U_i.ndim == 3
+    # Input contributions for all timesteps at once (a stack's with the time
+    # axis first); the recurrent parts stay in the step loop.
+    zx_i = X @ np.swapaxes(p.U_i, -1, -2) + p.b_i[..., None, :]
+    zx_f = X @ np.swapaxes(p.U_f, -1, -2) + p.b_f[..., None, :]
+    zx_c = X @ np.swapaxes(p.U_c, -1, -2) + p.b_c[..., None, :]
+    zx_o = X @ np.swapaxes(p.U_o, -1, -2) + p.b_o[..., None, :]
+    if stacked:
+        zx_i, zx_f, zx_c, zx_o = (np.moveaxis(z, 1, 0) for z in (zx_i, zx_f, zx_c, zx_o))
+    shape = zx_i.shape
+    H = np.empty(shape)
+    if stacked:
+        C = TC = I = F = G = O = None
+    else:
+        C, TC, I, F, G, O = (np.empty(shape) for _ in range(6))
+    h = np.zeros(shape[1:])
+    c = np.zeros(shape[1:])
+    mv = matvec if stacked else operator.matmul  # W @ h, without matvec's call
     for t in range(T):
-        i = sigmoid(zx_i[t] + p.W_i @ h + peep_apply(p.P_i, c))
-        f = sigmoid(zx_f[t] + p.W_f @ h + peep_apply(p.P_f, c))
-        g = np.tanh(zx_c[t] + p.W_c @ h)
+        i = sigmoid(zx_i[t] + mv(p.W_i, h) + peep_apply(p.P_i, c))
+        f = sigmoid(zx_f[t] + mv(p.W_f, h) + peep_apply(p.P_f, c))
+        g = np.tanh(zx_c[t] + mv(p.W_c, h))
         c = f * c + i * g
-        o = sigmoid(zx_o[t] + p.W_o @ h + peep_apply(p.P_o, c))
+        o = sigmoid(zx_o[t] + mv(p.W_o, h) + peep_apply(p.P_o, c))
         tc = np.tanh(c)
         h = o * tc
-        I[t] = i
-        F[t] = f
-        G[t] = g
-        O[t] = o
-        C[t] = c
-        TC[t] = tc
         H[t] = h
+        if not stacked:
+            I[t] = i
+            F[t] = f
+            G[t] = g
+            O[t] = o
+            C[t] = c
+            TC[t] = tc
+    if stacked:  # the stack axis goes first again
+        H = np.moveaxis(H, 0, 1)
     return LayerTrace(x=X, h=H, c=C, tc=TC, i=I, f=F, g=G, o=O)
 
 
@@ -311,20 +347,22 @@ def _run_historical(
     """Drive the historical recursion over one layer's responses.
 
     With replay_records the recorded branch schedule is applied verbatim and
-    neither losses nor policies are consulted. A live pass scores step t's
-    states against y_t: the label if given (training), else the inference
-    policy's stand-in (None scores 1). l_{t-1} is rescored when y_t changes.
+    neither losses nor policies are consulted; a stacked network's H is
+    (K, T, U) and every state is (K, U). A live pass scores step t's states
+    against y_t: the label if given (training), else the inference policy's
+    stand-in (None scores 1). l_{t-1} is rescored when y_t changes.
     """
     _, l_head = _scoring_heads(net, k)
     cfg = net.hist_cfg
     if replay_records is not None:
-        hist = initial_trace(H[0], lambda s: replay_records[0].eps_l_new)
-        for t in range(1, len(H)):
-            hist = replay_update(hist, H[t], replay_records[t], cfg)
+        steps = np.moveaxis(H, -2, 0)
+        hist = initial_trace(steps[0], lambda s: replay_records[0].eps_l_new)
+        for t in range(1, len(steps)):
+            hist = replay_update(hist, steps[t], replay_records[t], cfg)
         return hist
     if label is not None:
         targets = [label] * len(H)
-        eps_h = [cross_entropy(p, label) for p in step_probs]
+        eps_h = cross_entropy(step_probs, label).tolist()
     else:
         targets, eps_h = inference_losses(step_probs, cfg.inference_policy)
     scorers = [(lambda s: 1.0) if y is None else partial(step_loss, l_head, label=y)
@@ -354,9 +392,14 @@ def forward_sequence(
     Passing replay_from pins the stochastic and branching choices (dropout
     masks, branch decisions, alpha, window weights) to the given trace, so
     the pass becomes a deterministic function of the parameters alone. That
-    pinned function is the one the backward pass differentiates.
+    pinned function is the one the backward pass differentiates. A stacked
+    network (see StackedNetwork.with_params) runs only replayed passes: all
+    K parameter sets at once, with the leading axis K on every array of the
+    returned trace.
     """
     X = _frames_of(x)
+    if net.stack_shape and replay_from is None:
+        raise ValueError("a stacked network runs only replayed passes")
     if label is None:
         label = getattr(x, "label", None)
     if X.shape[1] != net.input_dim:
@@ -398,7 +441,7 @@ def forward_sequence(
                 net, k, lt.h, probs_k, label if training else None, records
             )
         if not top:
-            upward = np.stack(hists[k].l_history) if k in scored else lt.h
+            upward = np.stack(hists[k].l_history, axis=-2) if k in scored else lt.h
             if replay_from is not None:
                 mask = replay_from.masks[k]
             elif fresh_masks:
@@ -414,7 +457,7 @@ def forward_sequence(
     if net.use_historical:
         final_src = hists[L - 1].l
     else:
-        final_src = layer_traces[-1].h[T - 1]
+        final_src = layer_traces[-1].h[..., T - 1, :]
     final_probs = head_predict(net.final_head, final_src)
     return ForwardTrace(
         layers=layer_traces,
@@ -455,20 +498,33 @@ def total_loss(
     label: int,
     lambda_aux: float = 0.5,
     l2: float = 0.0,
-) -> float:
+):
     """Final cross-entropy + lambda_aux * mean per-step cross-entropy
-    + l2 * sum of squared weight-matrix entries (biases, peepholes exempt)."""
+    + l2 * sum of squared weight-matrix entries (biases, peepholes exempt).
+
+    A float for one parameter set; for a stacked network and its trace, a
+    (K,) array of one loss per set. Per-step losses are added in ascending t.
+    """
     loss = cross_entropy(trace.final_probs, label)
     if lambda_aux != 0.0:
         streams = _aux_streams(trace)
         aux = 0.0
         for _, probs in streams:
-            per_step = [cross_entropy(probs[t], label) for t in range(probs.shape[0])]
+            per_step = np.moveaxis(cross_entropy(probs, label), -1, 0)
             aux += sum(per_step) / len(per_step)
         loss += lambda_aux * aux / len(streams)
     if l2 != 0.0:
-        loss += l2 * sum(float(np.dot(a.ravel(), a.ravel())) for a in net.l2_arrays())
-    return float(loss)
+        loss += l2 * sum(_sum_of_squares(a, bool(net.stack_shape)) for a in net.l2_arrays())
+    return loss if net.stack_shape else float(loss)
+
+
+def _sum_of_squares(a: np.ndarray, stacked: bool):
+    """Sum of a's squared entries, or of each a[k]'s for a stack: one BLAS
+    dot product per parameter set either way."""
+    if not stacked:
+        return float(np.dot(a.ravel(), a.ravel()))
+    v = a.reshape(len(a), 1, -1)
+    return (v @ np.swapaxes(v, 1, 2))[:, 0, 0]
 
 
 def _historical_backward(records: list, dl_in: np.ndarray) -> np.ndarray:
@@ -719,9 +775,12 @@ def load_checkpoint(path: str) -> StackedNetwork:
     for what, value in sizes + [(f"layer {k} units", u) for k, u in enumerate(units)]:
         if value < 1:
             raise ValueError(f"{path}: checkpoint declares {what} {value}")
+    use_hist_at = pos + 2
     peep_i, place_i, use_hist, alpha_i, window_i, infer_i = struct.unpack(
         "<6B", take(6)
     )
+    if use_hist not in (0, 1):
+        raise ValueError(f"{path}: byte {use_hist_at}: bad use_historical flag {use_hist}")
     tau_at = pos
     (tau,) = struct.unpack("<I", take(4))
     dropout_at = pos

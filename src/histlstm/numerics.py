@@ -2,8 +2,8 @@
 and the range checks of the config classes.
 
 Everything here works on plain float64 numpy arrays: vectors are 1-D,
-matrices are 2-D row-major; softmax works over the last axis. All public
-operations keep values finite.
+matrices are 2-D row-major; softmax and cross_entropy work over the last
+axis. All public operations keep values finite.
 """
 
 from __future__ import annotations
@@ -58,16 +58,21 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(p: np.ndarray, label: int) -> float:
+def cross_entropy(p: np.ndarray, label: int):
     """Floored negative log-likelihood: max(-ln p[label], EPS_LOSS_FLOOR).
 
-    The floor keeps the loss strictly positive so callers may divide by it
-    or take its logarithm.
+    p is one probability vector (C,), scored as a float, or a stack (..., C)
+    scored row by row into an array of its leading shape. The floor keeps the
+    loss strictly positive so callers may divide by it or take its logarithm.
     """
-    p = as_vec(p)
-    if not 0 <= label < p.shape[0]:
-        raise IndexError(f"label {label} out of range for {p.shape[0]} classes")
-    return max(-float(np.log(p[label])), EPS_LOSS_FLOOR)
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim == 0:
+        raise ShapeError("expected probabilities over the last axis, got a scalar")
+    if not 0 <= label < p.shape[-1]:
+        raise IndexError(f"label {label} out of range for {p.shape[-1]} classes")
+    if p.ndim == 1:
+        return max(-float(np.log(p[label])), EPS_LOSS_FLOOR)
+    return np.maximum(-np.log(p[..., label]), EPS_LOSS_FLOOR)
 
 
 def finite_diff(f: Callable[[np.ndarray], float], theta: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -388,38 +388,13 @@ def _block_of(net: StackedNetwork, flat_index: int) -> str:
     return "?"
 
 
-def grad_check(
-    seeds: int = 20,
-    layer_units: Sequence[int] = (3, 3),
-    input_dim: int = 2,
-    n_classes: int = 3,
-    lengths: Sequence[int] = (1, 3, 6),
-    tau: int = 2,
-    lambda_aux: float = 0.5,
-    l2: float = 0.004,
-    h: float = 1e-5,
-    hist_placement: str = "top",
-    peephole: str = "diag",
-    tamper: Optional[dict] = None,
-) -> GradCheckReport:
-    """Finite-difference verification of the analytic gradients.
-
-    Per seed, every (alpha policy, window mode, branch) combination runs on
-    a tiny random net and sequence, with head biases forcing the intended
-    branch; the compared function is the replayed forward pass (branch
-    schedule pinned), matching the frozen-coefficient gradient convention.
-    Relative error per coordinate is |a - f| / max(|a|, |f|, 1e-4), so
-    agreement below the finite-difference noise floor counts as exact.
-
-    tamper maps block-name suffixes to multipliers applied to the analytic
-    gradient, a self-test hook proving the harness flags wrong gradients.
-    """
-    if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
-    t_start = time.perf_counter()
-    cases = []
+def _forced_cases(seeds, layer_units, input_dim, n_classes, lengths, tau,
+                  hist_placement, peephole) -> Iterable[tuple]:
+    """grad_check's cases: per seed, for every (alpha policy, window mode,
+    branch), a tiny random net, sequence and label with head biases forcing
+    the intended branch, and the net's training trace on them. Yields
+    (seed, T, policy, mode, branch, net, X, label, trace)."""
     case_id = 0
-    realized_cover = set()
     for seed in range(seeds):
         for policy in ALPHA_POLICIES:
             for mode in WINDOW_MODES:
@@ -452,55 +427,114 @@ def grad_check(
                     else:
                         net.per_step_head.c[label] += bias
                         net.final_head.c[label] -= bias
-                    trace0 = forward_sequence(net, X, label=label, training=True)
-                    realized = tuple(
-                        sorted(
-                            {
-                                r.branch
-                                for r in trace0.hists[-1].records
-                                if r.branch != "init"
-                            }
-                        )
-                    )
-                    for b in realized:
-                        realized_cover.add((policy, mode, b))
-                    grads = backward_sequence(net, trace0, label, lambda_aux, l2)
-                    if tamper:
-                        for suffix, factor in tamper.items():
-                            for name in grads:
-                                if name.endswith(suffix):
-                                    grads[name] = grads[name] * factor
-                    analytic = np.concatenate(
-                        [grads[name].ravel() for name, _ in net.param_blocks()]
-                    )
-                    theta0 = net.flatten_params()
+                    trace = forward_sequence(net, X, label=label, training=True)
+                    yield seed, T, policy, mode, branch, net, X, label, trace
 
-                    def loss_at(theta):
-                        net.set_flat(theta)
-                        tr = forward_sequence(
-                            net, X, label=label, training=True, replay_from=trace0
-                        )
-                        return total_loss(net, tr, label, lambda_aux, l2)
 
-                    fd = finite_diff(loss_at, theta0, h)
-                    net.set_flat(theta0)
-                    denom = np.maximum(
-                        np.maximum(np.abs(analytic), np.abs(fd)), 1e-4
-                    )
-                    rel = np.abs(analytic - fd) / denom
-                    worst = int(np.argmax(rel))
-                    cases.append(
-                        GradCheckCase(
-                            seed=seed,
-                            T=T,
-                            alpha_policy=policy,
-                            window_mode=mode,
-                            intended_branch=branch,
-                            realized_branches=realized,
-                            max_rel_err=float(rel[worst]),
-                            worst_block=_block_of(net, worst),
-                        )
-                    )
+def _central_differences(net, X, label: int, trace, lambda_aux: float, l2: float,
+                         h: float) -> np.ndarray:
+    """(f(theta + h e_i) - f(theta - h e_i)) / 2h for every coordinate i of
+    the network's parameters theta, where f is total_loss of the forward pass
+    replayed from trace: all 2P probes run as one stacked replay."""
+    theta = net.flatten_params()
+    P = theta.size
+    probes = np.tile(theta, (2 * P, 1))
+    i = np.arange(P)
+    probes[i, i] += h
+    probes[P + i, i] -= h
+    stack = net.with_params(probes)
+    replayed = forward_sequence(stack, X, label=label, training=True, replay_from=trace)
+    f = total_loss(stack, replayed, label, lambda_aux, l2)
+    return (f[:P] - f[P:]) / (2.0 * h)
+
+
+def grad_check(
+    seeds: int = 20,
+    layer_units: Sequence[int] = (3, 3),
+    input_dim: int = 2,
+    n_classes: int = 3,
+    lengths: Sequence[int] = (1, 3, 6),
+    tau: int = 2,
+    lambda_aux: float = 0.5,
+    l2: float = 0.004,
+    h: float = 1e-5,
+    hist_placement: str = "top",
+    peephole: str = "diag",
+    tamper: Optional[dict] = None,
+) -> GradCheckReport:
+    """Finite-difference verification of the analytic gradients.
+
+    Per seed, every (alpha policy, window mode, branch) combination runs on
+    a tiny random net and sequence, with head biases forcing the intended
+    branch; the compared function is the replayed forward pass (branch
+    schedule pinned), matching the frozen-coefficient gradient convention.
+    Relative error per coordinate is |a - f| / max(|a|, |f|, 1e-4), so
+    agreement below the finite-difference noise floor counts as exact.
+
+    The central differences of a case run as one stacked replay. Its worst
+    coordinate is recomputed with finite_diff through one replay per call,
+    and a difference beyond 1e-9 * max(1, |fd|) raises RuntimeError.
+
+    tamper maps block-name suffixes to multipliers applied to the analytic
+    gradient, a self-test hook proving the harness flags wrong gradients.
+    """
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    t_start = time.perf_counter()
+    cases = []
+    realized_cover = set()
+    for seed, T, policy, mode, branch, net, X, label, trace0 in _forced_cases(
+        seeds, layer_units, input_dim, n_classes, lengths, tau, hist_placement, peephole
+    ):
+        realized = tuple(
+            sorted({r.branch for r in trace0.hists[-1].records if r.branch != "init"})
+        )
+        for b in realized:
+            realized_cover.add((policy, mode, b))
+        grads = backward_sequence(net, trace0, label, lambda_aux, l2)
+        if tamper:
+            for suffix, factor in tamper.items():
+                for name in grads:
+                    if name.endswith(suffix):
+                        grads[name] = grads[name] * factor
+        analytic = np.concatenate([grads[name].ravel() for name, _ in net.param_blocks()])
+        fd = _central_differences(net, X, label, trace0, lambda_aux, l2, h)
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-4)
+        rel = np.abs(analytic - fd) / denom
+        worst = int(np.argmax(rel))
+
+        theta0 = net.flatten_params()
+
+        def loss_at(theta):
+            net.set_flat(theta)
+            tr = forward_sequence(net, X, label=label, training=True, replay_from=trace0)
+            return total_loss(net, tr, label, lambda_aux, l2)
+
+        def along_worst(v):
+            theta = theta0.copy()
+            theta[worst] = v[0]
+            return loss_at(theta)
+
+        scalar = finite_diff(along_worst, theta0[worst:worst + 1], h)[0]
+        net.set_flat(theta0)
+        if abs(scalar - fd[worst]) > 1e-9 * max(1.0, abs(fd[worst])):
+            raise RuntimeError(
+                f"grad_check case seed={seed} T={T} {policy}/{mode}/{branch}: the stacked "
+                f"central difference {fd[worst]!r} at {_block_of(net, worst)} differs from "
+                f"finite_diff's {scalar!r}"
+            )
+        cases.append(
+            GradCheckCase(
+                seed=seed,
+                T=T,
+                alpha_policy=policy,
+                window_mode=mode,
+                intended_branch=branch,
+                realized_branches=realized,
+                max_rel_err=float(rel[worst]),
+                worst_block=_block_of(net, worst),
+            )
+        )
     missing = [
         (policy, mode, branch)
         for policy in ALPHA_POLICIES

@@ -68,6 +68,20 @@ class TestHeadPredict:
             for h, p in zip(H, P):
                 assert np.allclose(p, head_predict(head, h), rtol=0.0, atol=1e-15)
 
+    def test_stacked_head_scores_with_each_parameter_set(self):
+        rng = np.random.default_rng(13)
+        K, n, C, U = 4, 6, 3, 5
+        heads = [init_head(rng, U, C) for _ in range(K)]
+        stacked = HeadParams(V=np.stack([h.V for h in heads]), c=rng.standard_normal((K, C)))
+        for k, head in enumerate(heads):
+            head.c[:] = stacked.c[k]
+        S, H = rng.standard_normal((K, U)), rng.standard_normal((K, n, U))
+        P_one, P_stack = head_predict(stacked, S), head_predict(stacked, H)
+        assert P_one.shape == (K, C) and P_stack.shape == (K, n, C)
+        for k, head in enumerate(heads):
+            assert np.allclose(P_one[k], head_predict(head, S[k]), rtol=0.0, atol=1e-15)
+            assert np.allclose(P_stack[k], head_predict(head, H[k]), rtol=0.0, atol=1e-15)
+
     def test_non_finite_row_in_stack_is_rejected(self):
         head = init_head(np.random.default_rng(13), 3, 4)
         H = np.ones((5, 3))

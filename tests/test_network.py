@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -490,6 +491,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"net.ckpt: byte {offset}: {message}$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("units", [(3,), (3, 2)], ids=["1-layer", "2-layer"])
+    @pytest.mark.parametrize("flag", [2, 7, 255])
+    def test_use_historical_flag_other_than_0_or_1_is_rejected(self, tmp_path, units, flag):
+        # the third tag byte, after 22 bytes of magic and sizes and 4 per layer
+        offset = 22 + 4 * len(units) + 2
+        path = os.path.join(tmp_path, "net.ckpt")
+        save_checkpoint(tiny_net(seed=41, units=units, use_historical=False), path)
+        blob = bytearray(open(path, "rb").read())
+        assert blob[offset] == 0
+        blob[offset] = flag
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(path)}: byte {offset}: bad use_historical flag {flag}$"
+        ):
+            load_checkpoint(path)
+
     def test_huge_class_count_is_rejected_before_allocating(self, tmp_path):
         # 2**32 - 1 classes would need a 96 GiB head: the header is checked
         # against the file's size before any parameter array exists
@@ -550,3 +567,49 @@ class TestNetworkShape:
         net = tiny_net(seed=44)
         X = np.random.default_rng(45).standard_normal((5, 2))
         assert predict(net, X) == int(np.argmax(forward_sequence(net, X).final_probs))
+
+
+class TestStackedNetwork:
+    @pytest.mark.parametrize("peephole", PEEPHOLE_MODES)
+    @pytest.mark.parametrize("placement", HIST_PLACEMENTS)
+    def test_each_row_replays_like_its_own_network(self, placement, peephole):
+        # K random parameter sets around a net: the stacked replay gives each
+        # row what one replay of that set gives, with and without dropout
+        rng = np.random.default_rng(50)
+        X = rng.standard_normal((7, 2))
+        for dropout, use_historical in ((0.5, True), (0.0, True), (0.5, False)):
+            net = tiny_net(seed=51, units=(3, 4), dropout=dropout, placement=placement,
+                           peephole=peephole, use_historical=use_historical)
+            trace = forward_sequence(net, X, label=1, training=True, rng=rng)
+            theta0 = net.flatten_params()
+            thetas = theta0 + 0.3 * rng.standard_normal((5, theta0.size))
+            stack = net.with_params(thetas)
+            replayed = forward_sequence(stack, X, label=1, training=True, replay_from=trace)
+            losses = total_loss(stack, replayed, 1, lambda_aux=0.5, l2=0.004)
+            assert losses.shape == (5,)
+            for lt in replayed.layers:  # only BPTT reads the gates, and it takes no stack
+                assert lt.h.shape[0] == 5
+                assert (lt.c, lt.tc, lt.i, lt.f, lt.g, lt.o) == (None,) * 6
+            for k, theta in enumerate(thetas):
+                one = net.clone()
+                one.set_flat(theta)
+                ref = forward_sequence(one, X, label=1, training=True, replay_from=trace)
+                assert abs(losses[k] - total_loss(one, ref, 1, 0.5, 0.004)) < 1e-12
+                assert np.allclose(replayed.final_probs[k], ref.final_probs, rtol=0, atol=1e-12)
+                assert np.allclose(replayed.step_probs[k], ref.step_probs, rtol=0, atol=1e-12)
+            # one vector (P,) views the same parameters as set_flat writes
+            assert total_loss(one.with_params(theta), ref, 1, 0.5, 0.004) == total_loss(
+                one, ref, 1, 0.5, 0.004)
+
+    def test_shapes_and_live_passes_are_rejected(self):
+        net = tiny_net(seed=52)
+        P = net.flatten_params().size
+        for shape in ((P - 1,), (2, P + 1), (2, 3, P)):
+            with pytest.raises(ShapeError, match="parameter stack has shape"):
+                net.with_params(np.zeros(shape))
+        stack = net.with_params(np.tile(net.flatten_params(), (3, 1)))
+        assert stack.stack_shape == (3,) and net.stack_shape == ()
+        with pytest.raises(ShapeError):
+            stack.with_params(np.zeros(P))
+        with pytest.raises(ValueError, match="a stacked network runs only replayed passes"):
+            forward_sequence(stack, np.zeros((4, 2)), label=0, training=True)

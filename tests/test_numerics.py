@@ -5,6 +5,7 @@ import pytest
 
 from histlstm.numerics import (
     EPS_LOSS_FLOOR,
+    ShapeError,
     cross_entropy,
     finite_diff,
     sigmoid,
@@ -115,6 +116,19 @@ class TestCrossEntropy:
             cross_entropy(np.array([0.5, 0.5]), 2)
         with pytest.raises(IndexError):
             cross_entropy(np.array([0.5, 0.5]), -1)
+
+    def test_stack_scores_each_row_bitwise(self):
+        rng = np.random.default_rng(5)
+        P = softmax(rng.standard_normal((4, 7, 3)) * 10)
+        P[0, 0] = [1.0, 0.0, 0.0]  # floored
+        losses = cross_entropy(P, 0)
+        assert losses.shape == (4, 7)
+        for row, loss in zip(P.reshape(-1, 3), losses.ravel().tolist()):
+            assert loss == cross_entropy(row, 0)
+        with pytest.raises(IndexError):
+            cross_entropy(P, 3)
+        with pytest.raises(ShapeError):
+            cross_entropy(np.float64(0.5), 0)
 
 
 class TestFiniteDiff:

@@ -4,8 +4,10 @@ training determinism, and the finite-difference harness."""
 import numpy as np
 import pytest
 
+from histlstm import trainer
 from histlstm.dataio import Dataset, FeatureSequence, SynthConfig, synth_keyframe_dataset
-from histlstm.numerics import ShapeError
+from histlstm.network import forward_sequence, total_loss
+from histlstm.numerics import ShapeError, finite_diff
 from histlstm.trainer import (
     AdamState,
     GradCheckReport,
@@ -389,6 +391,37 @@ class TestGradCheck:
         for seeds in (0, -3):
             with pytest.raises(ValueError, match=f"^seeds must be >= 1, got {seeds}$"):
                 grad_check(seeds=seeds)
+
+    @pytest.mark.parametrize("peephole", ["diag", "full"])
+    @pytest.mark.parametrize("placement", ["top", "all"])
+    def test_stacked_differences_equal_finite_diff(self, placement, peephole):
+        # every (policy, window mode, intended branch) case of one seed: the
+        # one stacked replay gives finite_diff's central differences
+        cases = trainer._forced_cases(1, (3, 3), 2, 3, (3, 6), 2, placement, peephole)
+        for seed, T, policy, mode, branch, net, X, label, trace in cases:
+            stacked = trainer._central_differences(net, X, label, trace, 0.5, 0.004, 1e-5)
+
+            def loss_at(theta):
+                net.set_flat(theta)
+                replayed = forward_sequence(net, X, label=label, training=True,
+                                            replay_from=trace)
+                return total_loss(net, replayed, label, 0.5, 0.004)
+
+            scalar = finite_diff(loss_at, net.flatten_params(), 1e-5)
+            tol = 1e-9 * np.maximum(1.0, np.abs(scalar))
+            assert np.all(np.abs(stacked - scalar) <= tol), (policy, mode, branch)
+
+    def test_guard_raises_when_stacked_losses_are_perturbed(self, monkeypatch):
+        def skewed_loss(net, trace, label, lambda_aux=0.5, l2=0.0):
+            loss = total_loss(net, trace, label, lambda_aux, l2)
+            if isinstance(loss, np.ndarray):  # the stacked replay: lift f+ only
+                loss[: len(loss) // 2] += 1e-7
+            return loss
+
+        monkeypatch.setattr(trainer, "total_loss", skewed_loss)
+        with pytest.raises(RuntimeError, match=r"^grad_check case seed=0 T=3 literal/sliding/"
+                                               r"blend: the stacked central difference"):
+            self.small_report(seeds=1, lengths=(3,))
 
     def test_placement_all_also_checks(self):
         report = self.small_report(seeds=1, layer_units=(3, 3),
