@@ -10,11 +10,17 @@ in each tree, alternating which side runs first, so slow minutes on a
 shared host fall on both sides alike. Seeds 1-20 were used while the
 benchmark was built and are refused.
 
-The output holds both commits, the machine, every pair's end-to-end values,
-failed counts and round digests, and per metric (as BENCHMARK.json declares
-it) both sides' medians and quartiles, the change's win count, and whether
-the gain rule holds: the change better in at least 9 of 10 pairs and the
-medians apart by more than the base's interquartile range.
+The output holds both commits, the machine, each side's `wc -l
+src/histlstm/*.py` total, every pair's end-to-end values, failed counts and
+round digests, and per metric (as BENCHMARK.json declares it) both sides'
+medians and quartiles, the change's win count, and two verdicts:
+
+- the gain rule: the change better in at least 9 of 10 pairs and the
+  medians apart by more than the base's interquartile range;
+- no regression (`within_bound`): the change's median worse than the base
+  median by at most the metric's bound, read as a fraction of the base
+  median. The verdict is `unresolved` when the base's interquartile range is
+  wider than that bound, so the runs spread too widely to tell.
 """
 
 from __future__ import annotations
@@ -86,6 +92,11 @@ def quartiles(values: list) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def src_lines(tree: Path) -> int:
+    """`wc -l src/histlstm/*.py` of a tree: its newline count."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "histlstm").glob("*.py"))
+
+
 def summarize(pairs: list, spec: dict) -> dict:
     out = {}
     for metric in spec["end_to_end"]:
@@ -95,6 +106,8 @@ def summarize(pairs: list, spec: dict) -> dict:
         wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
         losses = sum((c < b) if higher else (c > b) for b, c in zip(base, change))
         b, c = quartiles(base), quartiles(change)
+        slack = metric["bound"] * abs(b["median"])
+        worse_by = b["median"] - c["median"] if higher else c["median"] - b["median"]
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -106,6 +119,8 @@ def summarize(pairs: list, spec: dict) -> dict:
             "median_ratio": c["median"] / b["median"] if b["median"] else None,
             "gain_rule_met": wins >= 0.9 * len(pairs)
             and abs(c["median"] - b["median"]) > b["iqr"],
+            "within_bound": worse_by <= slack,
+            "unresolved": b["iqr"] > slack,
         }
     return out
 
@@ -151,6 +166,7 @@ def main(argv=None) -> int:
         "base": {"commit": base_commit},
         "change": {"commit": git("rev-parse", "HEAD"),
                    "uncommitted_changes": bool(git("status", "--porcelain"))},
+        "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
         "machine": {
             "platform": platform.platform(),
             **{k: v for k, v in environment.items()
@@ -165,7 +181,9 @@ def main(argv=None) -> int:
     for name, m in report["metrics"].items():
         print(f"{name}: median {m['base']['median']:.4g} -> {m['change']['median']:.4g} "
               f"(base IQR {m['base']['iqr']:.3g}); change better in {m['change_wins']}/"
-              f"{len(pairs)}; gain rule {'met' if m['gain_rule_met'] else 'not met'}")
+              f"{len(pairs)}; gain rule {'met' if m['gain_rule_met'] else 'not met'}; "
+              f"within bound {m['within_bound']}{' (unresolved)' if m['unresolved'] else ''}")
+    print(f"src/histlstm lines: {report['src_lines']['base']} -> {report['src_lines']['change']}")
     print(f"wrote {out}")
     return 0
 

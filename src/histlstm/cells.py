@@ -10,7 +10,8 @@ state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -155,9 +156,17 @@ def lstm_step(p: LstmParams, s_prev: LstmState, x: np.ndarray) -> LstmState:
     return LstmState(h=h, c=c)
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    k = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-k, k, size=shape)
+FORGET_BIAS = 1.0  # keeps the memory path open early in training
+
+
+def init_block(rng: np.random.Generator, leaf: str, shape: tuple) -> np.ndarray:
+    """Seeded init of one parameter block, chosen by its field name:
+    uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) for U_*, W_*, P_* and V, with
+    fan_in the last axis; FORGET_BIAS for b_f; zeros for the other biases."""
+    if leaf[0] in "UWPV":
+        k = 1.0 / math.sqrt(shape[-1])
+        return rng.uniform(-k, k, size=shape)
+    return np.full(shape, FORGET_BIAS) if leaf == "b_f" else np.zeros(shape)
 
 
 def init_lstm_params(
@@ -165,31 +174,15 @@ def init_lstm_params(
     input_dim: int,
     units: int,
     peephole: str = "diag",
-    forget_bias: float = 1.0,
 ) -> LstmParams:
-    """Seeded uniform(-1/sqrt(fan_in)) init; forget bias starts at 1.0 to keep
-    the memory path open early in training."""
+    """init_block of every field, drawn in LstmParams' field order."""
     if peephole not in PEEPHOLE_MODES:
         raise ValueError(f"unknown peephole mode {peephole!r}")
-    pshape = (units,) if peephole == "diag" else (units, units)
-    return LstmParams(
-        U_i=_uniform(rng, (units, input_dim), input_dim),
-        U_f=_uniform(rng, (units, input_dim), input_dim),
-        U_c=_uniform(rng, (units, input_dim), input_dim),
-        U_o=_uniform(rng, (units, input_dim), input_dim),
-        W_i=_uniform(rng, (units, units), units),
-        W_f=_uniform(rng, (units, units), units),
-        W_c=_uniform(rng, (units, units), units),
-        W_o=_uniform(rng, (units, units), units),
-        P_i=_uniform(rng, pshape, units),
-        P_f=_uniform(rng, pshape, units),
-        P_o=_uniform(rng, pshape, units),
-        b_i=np.zeros(units),
-        b_f=np.full(units, forget_bias),
-        b_c=np.zeros(units),
-        b_o=np.zeros(units),
-    )
+    shapes = {"U": (units, input_dim), "W": (units, units), "b": (units,),
+              "P": (units,) if peephole == "diag" else (units, units)}
+    return LstmParams(**{f.name: init_block(rng, f.name, shapes[f.name[0]])
+                         for f in fields(LstmParams)})
 
 
 def init_head(rng: np.random.Generator, hidden: int, classes: int) -> HeadParams:
-    return HeadParams(V=_uniform(rng, (classes, hidden), hidden), c=np.zeros(classes))
+    return HeadParams(V=init_block(rng, "V", (classes, hidden)), c=init_block(rng, "c", (classes,)))

@@ -79,6 +79,8 @@ def _convert(key: str, raw: str):
             return int(raw)
         if isinstance(default, float):
             return float(raw)
+        if "\x00" in raw:  # no file name or path can hold one
+            raise ValueError("contains a NUL byte")
         return raw
     except ValueError as exc:
         raise UsageError(f"bad value for {key}: {exc}") from None
@@ -101,7 +103,10 @@ def parse_config_file(path: str) -> dict:
         key, raw = (s.strip() for s in text.split("=", 1))
         if key not in DEFAULTS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _convert(key, raw)
+        try:
+            out[key] = _convert(key, raw)
+        except UsageError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

@@ -173,6 +173,7 @@ def load_manifest(path: str) -> Dataset:
     n_classes: Optional[int] = None
     sequences: list = []
     folds: list = []
+    record_lines: list = []
     dim_seen: Optional[tuple] = None  # (D, line number that set it)
     for lineno, line in enumerate(read_lines(path), start=1):
         text = line.split("#", 1)[0].strip()
@@ -218,14 +219,16 @@ def load_manifest(path: str) -> Dataset:
         sequences.append(seq)
         fold = _int_field(parts[2], f"{path}:{lineno}", "fold") if len(parts) == 3 else None
         folds.append(fold)
+        record_lines.append(lineno)
     if n_classes is None:
         raise ValueError(f"{path}: empty manifest (no `classes N` header)")
     have_folds = [f is not None for f in folds]
     if any(have_folds) and not all(have_folds):
-        missing = folds.index(None)
+        missing = record_lines[have_folds.index(False)]
+        declared = record_lines[have_folds.index(True)]
         raise ValueError(
-            f"{path}: fold declared on some records but not all "
-            f"(record {missing + 1} has none)"
+            f"{path}:{missing}: fold declared on some records but not all "
+            f"(line {declared} has one, this record none)"
         )
     return Dataset(
         sequences=sequences,

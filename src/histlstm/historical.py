@@ -245,5 +245,5 @@ def inference_losses(step_probs: np.ndarray, policy: str) -> tuple[list, list]:
         return [None] * len(step_probs), [1.0] * len(step_probs)
     if policy != "pseudo_label":
         raise ValueError(f"unknown inference policy {policy!r}")
-    targets = [int(y) for y in np.argmax(step_probs, axis=1)]
-    return targets, [cross_entropy(p, y) for p, y in zip(step_probs, targets)]
+    targets = np.argmax(step_probs, axis=1)
+    return targets.tolist(), cross_entropy(step_probs, targets).tolist()

@@ -9,11 +9,11 @@ state vectors, never through the loss ratios that picked them.
 
 from __future__ import annotations
 
-import copy
+import math
 import operator
 import struct
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,8 +23,7 @@ from .cells import (
     LstmParams,
     PEEPHOLE_MODES,
     head_predict,
-    init_head,
-    init_lstm_params,
+    init_block,
     matvec,
     peep_apply,
 )
@@ -55,136 +54,131 @@ CHECKPOINT_MAGIC = b"HLSTM1"
 CHECKPOINT_VERSION = 1
 
 
+def param_layout(input_dim: int, layer_units: Sequence[int], n_classes: int,
+                 hist_placement: str, peephole: str) -> list:
+    """Every parameter block as (name, shape), in the one canonical order of
+    the parameter vector, its gradient, Adam's moments and the checkpoint:
+    each layer's LSTM_FIELDS (LstmParams' field order), then each head's V
+    and c: aux heads ("all" placement), per-step, final."""
+    layout = []
+    d = input_dim
+    for k, u in enumerate(layer_units):
+        peep = (u,) if peephole == "diag" else (u, u)
+        shapes = [(u, d)] * 4 + [(u, u)] * 4 + [peep] * 3 + [(u,)] * 4
+        layout += [(f"layer{k}.{f}", s) for f, s in zip(LSTM_FIELDS, shapes)]
+        d = u
+    heads = [(f"aux{k}", u) for k, u in enumerate(layer_units[:-1]) if hist_placement == "all"]
+    for name, u in heads + [("per_step", d), ("final", d)]:
+        layout += [(name + ".V", (n_classes, u)), (name + ".c", (n_classes,))]
+    return layout
+
+
+def param_count(input_dim: int, layer_units: Sequence[int], n_classes: int,
+                hist_placement: str, peephole: str) -> int:
+    """Length of the parameter vector of a network of this shape."""
+    layout = param_layout(input_dim, layer_units, n_classes, hist_placement, peephole)
+    return sum(math.prod(shape) for _, shape in layout)
+
+
+@lru_cache(maxsize=64)
+def _cuts(input_dim: int, layer_units: tuple, n_classes: int, hist_placement: str,
+          peephole: str) -> tuple:
+    """(name, start, stop, shape, under L2) of every param_layout block in the
+    parameter vector, worked out once per network shape."""
+    cuts, pos = [], 0
+    for name, shape in param_layout(input_dim, layer_units, n_classes, hist_placement, peephole):
+        cuts.append((name, pos, pos + math.prod(shape), shape, is_weight_matrix(name)))
+        pos += math.prod(shape)
+    return tuple(cuts)
+
+
 @dataclass
 class StackedNetwork:
-    layers: list  # of LstmParams, input side first
-    per_step_head: HeadParams  # scores top-layer responses
-    final_head: HeadParams  # scores historical states; emits the final prediction
-    aux_heads: list  # per lower layer, "all" placement only
+    """One parameter vector theta, (P,) or a stack (K, P), cut by
+    param_layout into the named blocks that layers and heads view."""
+
+    theta: np.ndarray
+    input_dim: int
+    layer_units: list
+    n_classes: int
+    peephole: str
     dropout_p: float
     hist_cfg: HistoricalConfig
     hist_placement: str
     use_historical: bool
+    # Views of theta, cut once at construction.
+    layers: list = field(init=False, repr=False)  # of LstmParams, input side first
+    aux_heads: list = field(init=False, repr=False)  # per lower layer, "all" placement only
+    per_step_head: HeadParams = field(init=False, repr=False)  # scores top-layer responses
+    final_head: HeadParams = field(init=False, repr=False)  # scores historical states
 
     def __post_init__(self):
         if self.hist_placement not in HIST_PLACEMENTS:
             raise ValueError(f"unknown hist_placement {self.hist_placement!r}")
+        if self.peephole not in PEEPHOLE_MODES:
+            raise ValueError(f"unknown peephole mode {self.peephole!r}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        for lo, hi in zip(self.layers, self.layers[1:]):
-            if hi.input_dim != lo.units:
-                raise ShapeError(
-                    f"layer outputs {lo.units} units but next layer expects {hi.input_dim}"
-                )
-        if self.per_step_head.n_classes != self.final_head.n_classes:
-            raise ShapeError("per-step and final heads disagree on class count")
-        if self.per_step_head.V.shape[-1] != self.layers[-1].units:
-            raise ShapeError("per-step head width does not match the top layer")
-        if self.final_head.V.shape[-1] != self.layers[-1].units:
-            raise ShapeError("final head width does not match the top layer")
-        n_aux = len(self.layers) - 1 if self.hist_placement == "all" else 0
-        if len(self.aux_heads) != n_aux:
+        if not self.layer_units:
+            raise ValueError("need at least one layer")
+        self.layer_units = list(self.layer_units)
+        self._cuts = _cuts(self.input_dim, tuple(self.layer_units), self.n_classes,
+                           self.hist_placement, self.peephole)
+        need = self._cuts[-1][2]
+        self.theta = np.asarray(self.theta, dtype=np.float64)
+        if self.theta.ndim not in (1, 2) or self.theta.shape[-1] != need:
             raise ShapeError(
-                f"{self.hist_placement!r} placement needs {n_aux} aux heads, "
-                f"got {len(self.aux_heads)}"
+                f"parameter stack has shape {self.theta.shape}, network needs ({need},) or (K, {need})"
             )
-        for k, head in enumerate(self.aux_heads):
-            if head.V.shape[-1] != self.layers[k].units:
-                raise ShapeError(f"aux head {k} width does not match layer {k}")
-            if head.n_classes != self.n_classes:
-                raise ShapeError(f"aux head {k} disagrees on class count")
-
-    @property
-    def n_classes(self) -> int:
-        return self.final_head.n_classes
+        views = self.views(self.theta)
+        self._blocks = list(views.items())
+        self._l2 = [views[name] for name, *_, l2 in self._cuts if l2]
+        self.layers = [LstmParams(*(views[f"layer{k}.{f}"] for f in LSTM_FIELDS))
+                       for k in range(len(self.layer_units))]
+        heads = [HeadParams(views[name[:-1] + "V"], views[name])
+                 for name in views if name.endswith(".c")]  # aux..., per-step, final
+        self.aux_heads, self.per_step_head, self.final_head = heads[:-2], heads[-2], heads[-1]
 
     @property
     def stack_shape(self) -> tuple:
         """() for one parameter set, (K,) for a stack of K (see with_params)."""
-        return self.final_head.c.shape[:-1]
+        return self.theta.shape[:-1]
 
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].input_dim
-
-    @property
-    def layer_units(self) -> list:
-        return [p.units for p in self.layers]
+    def views(self, vec: np.ndarray) -> dict:
+        """Block name -> view of vec (P,) or (K, P), shaped like the block
+        (with the leading K of a stack), in layout order."""
+        lead = vec.shape[:-1]
+        return {name: vec[..., a:b].reshape(lead + shape) for name, a, b, shape, _ in self._cuts}
 
     def param_blocks(self) -> list:
-        """All parameters as (name, array) pairs in the canonical order.
-
-        The list is cached: block names and array objects are fixed at
-        construction and every update path writes through arr[...], so the
-        cache can never go stale. deepcopy maps the cached references onto
-        the copied arrays, keeping the aliasing intact.
-        """
-        cached = self.__dict__.get("_cache_blocks")
-        if cached is not None:
-            return cached
-        blocks = []
-        for k, p in enumerate(self.layers):
-            for f_name in LSTM_FIELDS:
-                blocks.append((f"layer{k}.{f_name}", getattr(p, f_name)))
-        for j, head in enumerate(self.aux_heads):
-            blocks.append((f"aux{j}.V", head.V))
-            blocks.append((f"aux{j}.c", head.c))
-        blocks.append(("per_step.V", self.per_step_head.V))
-        blocks.append(("per_step.c", self.per_step_head.c))
-        blocks.append(("final.V", self.final_head.V))
-        blocks.append(("final.c", self.final_head.c))
-        self._cache_blocks = blocks
-        return blocks
+        """All parameters as (name, view of theta) pairs in layout order."""
+        return self._blocks
 
     def l2_arrays(self) -> list:
-        """The arrays the L2 penalty covers, cached like param_blocks."""
-        cached = self.__dict__.get("_cache_l2")
-        if cached is not None:
-            return cached
-        arrays = [arr for name, arr in self.param_blocks() if is_weight_matrix(name)]
-        self._cache_l2 = arrays
-        return arrays
+        """The blocks the L2 penalty covers, in layout order."""
+        return self._l2
 
     def flatten_params(self) -> np.ndarray:
-        return np.concatenate([arr.ravel() for _, arr in self.param_blocks()])
+        return self.theta.copy()
 
     def set_flat(self, theta: np.ndarray) -> None:
-        """Overwrite all parameters in place from a flat vector (canonical order)."""
-        for (_, arr), view in zip(self.param_blocks(), self._block_views(np.ravel(theta))):
-            arr[...] = view
+        """Overwrite all parameters in place from a vector in layout order."""
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != self.theta.shape:
+            raise ShapeError(f"parameter vector has shape {theta.shape}, network has {self.theta.shape}")
+        self.theta[...] = theta
 
     def clone(self) -> "StackedNetwork":
-        return copy.deepcopy(self)
+        return self.with_params(self.theta.copy())
 
     def with_params(self, thetas: np.ndarray) -> "StackedNetwork":
-        """This network's shape and settings with its blocks viewing thetas:
-        one flat vector (P,) in param_blocks() order, or a stack (K, P), which
-        gives every block a leading axis K. A stacked network runs replayed
-        forward passes and total_loss for all K parameter sets at once."""
-        # param_blocks order: each layer's LSTM_FIELDS (LstmParams' field
-        # order), then each head's V and c: aux heads, per-step, final.
-        views = iter(self._block_views(thetas))
-        layers = [LstmParams(*(next(views) for _ in LSTM_FIELDS)) for _ in self.layers]
-        heads = [HeadParams(next(views), next(views)) for _ in range(len(self.aux_heads) + 2)]
-        return replace(self, layers=layers, aux_heads=heads[:-2],
-                       per_step_head=heads[-2], final_head=heads[-1])
-
-    def _block_views(self, thetas) -> list:
-        """Views of thetas (P,) or (K, P), shaped like each parameter block in
-        param_blocks() order, with the leading K of a stack."""
-        thetas = np.asarray(thetas, dtype=np.float64)
-        blocks = self.param_blocks()
-        need = sum(arr.size for _, arr in blocks)
-        if self.stack_shape or thetas.ndim not in (1, 2) or thetas.shape[-1] != need:
-            raise ShapeError(
-                f"parameter stack has shape {thetas.shape}, network needs ({need},) or (K, {need})"
-            )
-        views = []
-        pos = 0
-        for _, arr in blocks:
-            views.append(thetas[..., pos:pos + arr.size].reshape(thetas.shape[:-1] + arr.shape))
-            pos += arr.size
-        return views
+        """This network's shape and settings around thetas, without a copy:
+        one vector (P,) in layout order, or a stack (K, P), which gives every
+        block a leading axis K. A stacked network runs replayed forward
+        passes and total_loss for all K parameter sets at once."""
+        if self.stack_shape:
+            raise ShapeError(f"network is already a stack of {self.stack_shape[0]} parameter sets")
+        return replace(self, theta=thetas)
 
 
 def is_weight_matrix(name: str) -> bool:
@@ -194,10 +188,6 @@ def is_weight_matrix(name: str) -> bool:
     """
     leaf = name.split(".", 1)[1]
     return leaf.startswith(("U_", "W_")) or leaf == "V"
-
-
-def zero_grads(net: StackedNetwork) -> dict:
-    return {name: np.zeros_like(arr) for name, arr in net.param_blocks()}
 
 
 def build_network(
@@ -211,27 +201,18 @@ def build_network(
     peephole: str = "diag",
     use_historical: bool = True,
 ) -> StackedNetwork:
-    """Seeded construction; parameters are drawn layers-first, then heads."""
-    if not layer_units:
-        raise ValueError("need at least one layer")
-    hist_cfg = hist_cfg if hist_cfg is not None else HistoricalConfig()
-    layers = []
-    d = input_dim
-    for u in layer_units:
-        layers.append(init_lstm_params(rng, d, u, peephole=peephole))
-        d = u
-    aux_heads = []
-    if hist_placement == "all":
-        aux_heads = [init_head(rng, u, n_classes) for u in layer_units[:-1]]
-    per_step_head = init_head(rng, layer_units[-1], n_classes)
-    final_head = init_head(rng, layer_units[-1], n_classes)
+    """Seeded construction: init_block draws the parameters block by block
+    in layout order, so layers first, then heads."""
+    layout = param_layout(input_dim, layer_units, n_classes, hist_placement, peephole)
     return StackedNetwork(
-        layers=layers,
-        per_step_head=per_step_head,
-        final_head=final_head,
-        aux_heads=aux_heads,
+        theta=np.concatenate([init_block(rng, name.split(".")[1], shape).ravel()
+                              for name, shape in layout]),
+        input_dim=input_dim,
+        layer_units=layer_units,
+        n_classes=n_classes,
+        peephole=peephole,
         dropout_p=dropout_p,
-        hist_cfg=hist_cfg,
+        hist_cfg=hist_cfg if hist_cfg is not None else HistoricalConfig(),
         hist_placement=hist_placement,
         use_historical=use_historical,
     )
@@ -280,8 +261,6 @@ def _layer_forward(p: LstmParams, X: np.ndarray) -> LayerTrace:
     is (T, D) shared by every set or (K, T, D), h is (K, T, U), and the gates
     and cell states are not kept."""
     T = X.shape[-2]
-    if X.shape[-1] != p.input_dim:
-        raise ShapeError(f"layer expects input dim {p.input_dim}, got {X.shape[-1]}")
     stacked = p.U_i.ndim == 3
     # Input contributions for all timesteps at once (a stack's with the time
     # axis first); the recurrent parts stay in the step loop.
@@ -629,14 +608,16 @@ def backward_sequence(
     label: int,
     lambda_aux: float = 0.5,
     l2: float = 0.0,
-) -> dict:
-    """Gradient of total_loss w.r.t. every parameter block.
+) -> np.ndarray:
+    """Gradient of total_loss w.r.t. the parameter vector.
 
     Differentiates the pinned forward pass (the trace's masks and branch
     schedule are constants), which is exactly the function a replayed
-    forward evaluates.
+    forward evaluates. The result is one vector in layout order; grads holds
+    its named views.
     """
-    grads = zero_grads(net)
+    grad = np.zeros(net.theta.shape)
+    grads = net.views(grad)
     L = len(net.layers)
     T = trace.T
     scored = set(_scored_layers(net))
@@ -693,7 +674,7 @@ def backward_sequence(
         for name, arr in net.param_blocks():
             if is_weight_matrix(name):
                 grads[name] += 2.0 * l2 * arr
-    return grads
+    return grad
 
 
 def _index_of(value: str, options: tuple, what: str) -> int:
@@ -703,24 +684,9 @@ def _index_of(value: str, options: tuple, what: str) -> int:
         raise ValueError(f"unknown {what} {value!r}") from None
 
 
-def param_count(input_dim: int, layer_units: Sequence[int], n_classes: int,
-                hist_placement: str, peephole: str) -> int:
-    """Size of flatten_params() for a network of this shape, worked out
-    without allocating it, so a checkpoint's header can be checked first."""
-    count = 0
-    d = input_dim
-    for u in layer_units:
-        peep = u if peephole == "diag" else u * u
-        count += 4 * (u * d + u * u + u) + 3 * peep
-        d = u
-    head_widths = list(layer_units[:-1]) if hist_placement == "all" else []
-    head_widths += [layer_units[-1]] * 2  # per-step and final heads
-    return count + sum(n_classes * (u + 1) for u in head_widths)
-
-
 def save_checkpoint(net: StackedNetwork, path: str) -> None:
-    """Binary snapshot: versioned header, then every parameter block as raw
-    64-bit little-endian floats in the canonical block order."""
+    """Binary snapshot: versioned header, then the parameter vector as raw
+    64-bit little-endian floats (its blocks in layout order)."""
     L = len(net.layers)
     head = [
         CHECKPOINT_MAGIC,
@@ -729,7 +695,7 @@ def save_checkpoint(net: StackedNetwork, path: str) -> None:
         struct.pack(f"<{L}I", *net.layer_units),
         struct.pack(
             "<6B",
-            _index_of(net.layers[0].peephole, PEEPHOLE_MODES, "peephole mode"),
+            _index_of(net.peephole, PEEPHOLE_MODES, "peephole mode"),
             _index_of(net.hist_placement, HIST_PLACEMENTS, "placement"),
             int(net.use_historical),
             _index_of(net.hist_cfg.alpha_policy, ALPHA_POLICIES, "alpha policy"),
@@ -743,8 +709,7 @@ def save_checkpoint(net: StackedNetwork, path: str) -> None:
     with open(path, "wb") as fh:
         for chunk in head:
             fh.write(chunk)
-        for _, arr in net.param_blocks():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(net.theta, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> StackedNetwork:
@@ -814,24 +779,23 @@ def load_checkpoint(path: str) -> StackedNetwork:
     if end < len(raw):
         raise ValueError(f"{path}: {len(raw) - end} trailing bytes after parameters")
 
-    # Build a throwaway network with the right shapes, then fill it. The tags
-    # and sizes are checked above, so dropout_p is the one field it can reject.
+    # The tags and sizes are checked above, so dropout_p is the one field the
+    # network can reject.
     try:
-        net = build_network(
-            rng=np.random.default_rng(0),
+        return StackedNetwork(
+            theta=np.array(np.frombuffer(raw, dtype="<f8", count=n_params, offset=pos),
+                           dtype=np.float64),
             input_dim=input_dim,
             layer_units=units,
             n_classes=n_classes,
+            peephole=peephole,
             dropout_p=dropout_p,
             hist_cfg=hist_cfg,
             hist_placement=placement,
-            peephole=peephole,
             use_historical=bool(use_hist),
         )
     except ValueError as exc:
         raise ValueError(f"{path}: byte {dropout_at}: {exc}") from None
-    net.set_flat(np.frombuffer(raw, dtype="<f8", count=n_params, offset=pos))
-    return net
 
 
 def predict(net: StackedNetwork, x) -> int:

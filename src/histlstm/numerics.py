@@ -58,16 +58,25 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(p: np.ndarray, label: int):
+def cross_entropy(p: np.ndarray, label):
     """Floored negative log-likelihood: max(-ln p[label], EPS_LOSS_FLOOR).
 
     p is one probability vector (C,), scored as a float, or a stack (..., C)
-    scored row by row into an array of its leading shape. The floor keeps the
+    scored row by row into an array of its leading shape, against one label
+    or an integer array of per-row labels of that shape. The floor keeps the
     loss strictly positive so callers may divide by it or take its logarithm.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim == 0:
         raise ShapeError("expected probabilities over the last axis, got a scalar")
+    if isinstance(label, np.ndarray):
+        if label.shape != p.shape[:-1]:
+            raise ShapeError(f"labels of shape {label.shape} for probabilities {p.shape}")
+        if label.size and not 0 <= label.min() <= label.max() < p.shape[-1]:
+            bad = label[(label < 0) | (label >= p.shape[-1])][0]
+            raise IndexError(f"label {bad} out of range for {p.shape[-1]} classes")
+        picked = np.take_along_axis(p, label[..., None], axis=-1)[..., 0]
+        return np.maximum(-np.log(picked), EPS_LOSS_FLOOR)
     if not 0 <= label < p.shape[-1]:
         raise IndexError(f"label {label} out of range for {p.shape[-1]} classes")
     if p.ndim == 1:

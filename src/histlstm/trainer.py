@@ -22,7 +22,6 @@ from .network import (
     build_network,
     forward_sequence,
     total_loss,
-    zero_grads,
 )
 from .numerics import ShapeError, check_fields, finite_diff
 
@@ -97,7 +96,8 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class AdamState:
-    """Per-block first/second moment accumulators and the step counter."""
+    """Per-block first/second moment accumulators and the step counter.
+    A network's parameter vector is one block, "theta"."""
 
     m: dict
     v: dict
@@ -108,10 +108,7 @@ class AdamState:
 
     @classmethod
     def for_network(cls, net: StackedNetwork) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(arr) for name, arr in net.param_blocks()},
-            v={name: np.zeros_like(arr) for name, arr in net.param_blocks()},
-        )
+        return cls(m={"theta": np.zeros_like(net.theta)}, v={"theta": np.zeros_like(net.theta)})
 
 
 def adam_step(params: list, grads: dict, state: AdamState, lr: float) -> tuple:
@@ -183,14 +180,16 @@ def _naming(seq: FeatureSequence, index: int):
         raise type(exc)(f"{seq.id or f'sequence {index}'}: {exc}") from exc
 
 
+def _check_classes(net: StackedNetwork, dataset: Dataset) -> None:
+    if dataset.n_classes > net.n_classes:
+        raise ValueError(f"dataset declares {dataset.n_classes} classes, model has {net.n_classes}")
+
+
 def evaluate(net: StackedNetwork, dataset: Dataset) -> Metrics:
     """Evaluation-mode forward per sequence; argmax prediction with ties
     broken toward the lowest class index."""
+    _check_classes(net, dataset)
     C = net.n_classes
-    if dataset.n_classes > C:
-        raise ValueError(
-            f"dataset declares {dataset.n_classes} classes, model has {C}"
-        )
     confusion = np.zeros((C, C), dtype=np.int64)
     for index, seq in enumerate(dataset):
         with _naming(seq, index):
@@ -211,7 +210,7 @@ def _batch_gradients(
 ) -> tuple:
     """Mean gradient over the batch (fixed summation order), mean loss, and
     the fraction of training-mode argmax hits."""
-    grads_sum = zero_grads(net)
+    grad_sum = np.zeros_like(net.theta)
     loss_sum = 0.0
     hits = 0
     for idx in batch_idx:
@@ -219,14 +218,11 @@ def _batch_gradients(
         with _naming(seq, idx):
             trace = forward_sequence(net, seq.frames, label=seq.label, training=True, rng=rng)
             loss_sum += total_loss(net, trace, seq.label, cfg.lambda_aux, cfg.l2)
-            g = backward_sequence(net, trace, seq.label, cfg.lambda_aux, cfg.l2)
+            grad_sum += backward_sequence(net, trace, seq.label, cfg.lambda_aux, cfg.l2)
         hits += int(np.argmax(trace.final_probs)) == seq.label
-        for name in grads_sum:
-            grads_sum[name] += g[name]
     n = len(batch_idx)
-    for name in grads_sum:
-        grads_sum[name] /= n
-    return grads_sum, loss_sum / n, hits / n
+    grad_sum /= n
+    return grad_sum, loss_sum / n, hits / n
 
 
 def train(
@@ -249,7 +245,7 @@ def train(
         raise ShapeError(
             f"dataset feature dim {dataset.dim} != network input dim {net.input_dim}"
         )
-    params = net.param_blocks()
+    _check_classes(net, dataset)
     state = AdamState.for_network(net)
     curve = []
     step = 0
@@ -258,18 +254,16 @@ def train(
         order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             batch = order[lo:lo + cfg.batch_size]
-            grads, loss, acc = _batch_gradients(net, dataset, batch, cfg, rng)
+            grad, loss, acc = _batch_gradients(net, dataset, batch, cfg, rng)
             if not np.isfinite(loss):
-                bad = next(
-                    (nm for nm, g in grads.items() if not np.all(np.isfinite(g))),
-                    "loss only",
-                )
+                finite = np.isfinite(grad)
+                bad = "loss only" if finite.all() else _block_of(net, int(np.argmin(finite)))
                 raise RuntimeError(
                     f"training aborted at step {step}: non-finite loss "
                     f"(first bad parameter block: {bad})"
                 )
             lr = lr_schedule(step, cfg)
-            adam_step(params, grads, state, lr)
+            adam_step([("theta", net.theta)], {"theta": grad}, state, lr)
             curve.append((step, lr, loss, acc))
             step += 1
         if log is not None:
@@ -380,6 +374,7 @@ class GradCheckReport:
 
 
 def _block_of(net: StackedNetwork, flat_index: int) -> str:
+    """Name of the parameter block holding theta[flat_index]."""
     pos = 0
     for name, arr in net.param_blocks():
         if flat_index < pos + arr.size:
@@ -436,9 +431,8 @@ def _central_differences(net, X, label: int, trace, lambda_aux: float, l2: float
     """(f(theta + h e_i) - f(theta - h e_i)) / 2h for every coordinate i of
     the network's parameters theta, where f is total_loss of the forward pass
     replayed from trace: all 2P probes run as one stacked replay."""
-    theta = net.flatten_params()
-    P = theta.size
-    probes = np.tile(theta, (2 * P, 1))
+    P = net.theta.size
+    probes = np.tile(net.theta, (2 * P, 1))
     i = np.arange(P)
     probes[i, i] += h
     probes[P + i, i] -= h
@@ -491,32 +485,24 @@ def grad_check(
         )
         for b in realized:
             realized_cover.add((policy, mode, b))
-        grads = backward_sequence(net, trace0, label, lambda_aux, l2)
-        if tamper:
-            for suffix, factor in tamper.items():
-                for name in grads:
-                    if name.endswith(suffix):
-                        grads[name] = grads[name] * factor
-        analytic = np.concatenate([grads[name].ravel() for name, _ in net.param_blocks()])
+        analytic = backward_sequence(net, trace0, label, lambda_aux, l2)
+        for suffix, factor in (tamper or {}).items():
+            for name, block in net.views(analytic).items():
+                if name.endswith(suffix):
+                    block *= factor
         fd = _central_differences(net, X, label, trace0, lambda_aux, l2, h)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-4)
         rel = np.abs(analytic - fd) / denom
         worst = int(np.argmax(rel))
 
-        theta0 = net.flatten_params()
-
-        def loss_at(theta):
-            net.set_flat(theta)
-            tr = forward_sequence(net, X, label=label, training=True, replay_from=trace0)
-            return total_loss(net, tr, label, lambda_aux, l2)
+        probe = net.clone()
 
         def along_worst(v):
-            theta = theta0.copy()
-            theta[worst] = v[0]
-            return loss_at(theta)
+            probe.theta[worst] = v[0]
+            tr = forward_sequence(probe, X, label=label, training=True, replay_from=trace0)
+            return total_loss(probe, tr, label, lambda_aux, l2)
 
-        scalar = finite_diff(along_worst, theta0[worst:worst + 1], h)[0]
-        net.set_flat(theta0)
+        scalar = finite_diff(along_worst, net.theta[worst:worst + 1], h)[0]
         if abs(scalar - fd[worst]) > 1e-9 * max(1.0, abs(fd[worst])):
             raise RuntimeError(
                 f"grad_check case seed={seed} T={T} {policy}/{mode}/{branch}: the stacked "

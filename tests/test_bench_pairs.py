@@ -1,0 +1,61 @@
+"""bench/pairs.py's verdicts on synthetic base/change pairs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("pairs", ROOT / "bench" / "pairs.py")
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+SPEC = {"end_to_end": [
+    {"name": "ops", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "rss", "unit": "MB", "better": "lower", "bound": 0.1},
+]}
+
+
+def synthetic(base_ops, change_ops, base_rss, change_rss):
+    return [{"base": {"metrics": {"ops": bo, "rss": br}},
+             "change": {"metrics": {"ops": co, "rss": cr}}}
+            for bo, co, br, cr in zip(base_ops, change_ops, base_rss, change_rss)]
+
+
+def test_summarize_reports_medians_wins_and_verdicts():
+    base_ops = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+    change_ops = [v * 1.2 for v in base_ops]
+    base_rss = [200.0] * 10
+    change_rss = [215.0] * 10  # 7.5% worse, inside the 10% bound
+    out = pairs.summarize(synthetic(base_ops, change_ops, base_rss, change_rss), SPEC)
+    ops, rss = out["ops"], out["rss"]
+    assert ops["base"]["median"] == 100.0 and ops["change"]["median"] == pytest.approx(120.0)
+    assert ops["change_wins"] == 10 and ops["change_losses"] == 0
+    assert ops["gain_rule_met"] and ops["within_bound"] and not ops["unresolved"]
+    assert rss["change_wins"] == 0 and rss["change_losses"] == 10
+    assert not rss["gain_rule_met"] and rss["within_bound"] and not rss["unresolved"]
+
+
+def test_regression_beyond_the_bound_is_not_within_it():
+    base = [100.0] * 10
+    out = pairs.summarize(synthetic(base, [74.0] * 10, [200.0] * 10, [221.0] * 10), SPEC)
+    assert not out["ops"]["within_bound"]  # 26% fewer ops, bound 25%
+    assert not out["rss"]["within_bound"]  # 10.5% more memory, bound 10%
+    out = pairs.summarize(synthetic(base, [76.0] * 10, [200.0] * 10, [219.0] * 10), SPEC)
+    assert out["ops"]["within_bound"] and out["rss"]["within_bound"]
+
+
+def test_base_spread_wider_than_the_bound_is_unresolved():
+    base_rss = [150.0, 250.0] * 5  # IQR 100 against a slack of 20
+    out = pairs.summarize(synthetic([100.0] * 10, [100.0] * 10, base_rss, base_rss), SPEC)
+    assert out["rss"]["unresolved"] and out["rss"]["within_bound"]
+    assert not out["ops"]["unresolved"]
+
+
+def test_src_lines_counts_newlines_of_the_package(tmp_path):
+    pkg = tmp_path / "src" / "histlstm"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\n")
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    assert pairs.src_lines(tmp_path) == 3

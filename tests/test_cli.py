@@ -75,6 +75,24 @@ class TestConfigFile:
         with pytest.raises(UsageError, match="bad value for epochs"):
             parse_config_file(str(path))
 
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed=1\n# no epochs yet\nepochs=three\n")
+        with pytest.raises(UsageError, match=f"^{path}:3: bad value for epochs: "):
+            parse_config_file(str(path))
+        assert run(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:3: bad value for epochs: ")
+
+    def test_nul_byte_in_value_names_file_and_line(self, tmp_path, capsys):
+        # a path with a NUL byte used to reach os.makedirs and exit 1 with
+        # only "embedded null byte"
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed=1\nout=ab\x00c\n")
+        with pytest.raises(UsageError, match=f"^{path}:2: bad value for out: contains a NUL byte$"):
+            parse_config_file(str(path))
+        assert run(["synth", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: bad value for out: contains a NUL byte\n"
+
     def test_bad_bool_value(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("synth=yes\n")

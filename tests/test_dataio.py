@@ -236,6 +236,17 @@ class TestManifest:
         with pytest.raises(ValueError, match="fold declared on some"):
             load_manifest(path)
 
+    def test_partial_folds_name_the_line(self, tmp_path):
+        # a comment line between records: the record number is not the line
+        path = self.write_corpus(tmp_path, [("a.fseq", 0, 0), ("b.fseq", 1), ("c.fseq", 2, 1)])
+        with open(path) as fh:
+            lines = fh.read().split("\n", 2)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines[:2] + ["# b has no fold", lines[2]]))
+        with pytest.raises(ValueError, match=r"manifest\.txt:4: fold declared on some records "
+                                             r"but not all \(line 2 has one, this record none\)$"):
+            load_manifest(path)
+
     def test_folds_loaded(self, tmp_path):
         path = self.write_corpus(tmp_path, [("a.fseq", 0, 1), ("b.fseq", 1, 0)])
         ds = load_manifest(path)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -6,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from histlstm.cells import PEEPHOLE_MODES, HeadParams, LstmState, head_predict, lstm_step
+from histlstm.cells import PEEPHOLE_MODES, LstmState, head_predict, lstm_step
 from dataclasses import replace
 
 from histlstm import historical
@@ -19,13 +20,13 @@ from histlstm.historical import (
 )
 from histlstm.network import (
     HIST_PLACEMENTS,
-    StackedNetwork,
     backward_sequence,
     build_network,
     forward_sequence,
     is_weight_matrix,
     load_checkpoint,
     param_count,
+    param_layout,
     predict,
     save_checkpoint,
     total_loss,
@@ -314,7 +315,7 @@ class TestBackwardSequence:
         net.final_head.c[1] += 200.0
         trace = forward_sequence(net, X, label=1, training=True)
         assert cross_entropy(trace.final_probs, 1) == EPS_LOSS_FLOOR
-        grads = backward_sequence(net, trace, 1, lambda_aux=0.0, l2=0.004)
+        grads = net.views(backward_sequence(net, trace, 1, lambda_aux=0.0, l2=0.004))
         for name, arr in net.param_blocks():
             if is_weight_matrix(name):
                 assert np.allclose(grads[name], 2.0 * 0.004 * arr, atol=1e-15)
@@ -327,7 +328,7 @@ class TestBackwardSequence:
         X = np.random.default_rng(29).standard_normal((4, 2))
         trace = forward_sequence(net, X, label=0, training=True)
         grads = backward_sequence(net, trace, 0, lambda_aux=0.0, l2=0.0)
-        assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
+        assert np.array_equal(grads, np.zeros_like(net.theta))
 
     @pytest.mark.parametrize("placement,peephole,units", [
         ("top", "diag", (3, 3)),
@@ -340,7 +341,7 @@ class TestBackwardSequence:
                        cfg=HistoricalConfig(tau=2, alpha_policy="inverse_loss"))
         X = np.random.default_rng(31).standard_normal((4, 2))
         ref = forward_sequence(net, X, label=1, training=True)
-        grads = backward_sequence(net, ref, 1, lambda_aux=0.5, l2=0.003)
+        analytic = backward_sequence(net, ref, 1, lambda_aux=0.5, l2=0.003)
         theta0 = net.flatten_params().copy()
 
         def loss_at(theta):
@@ -351,7 +352,6 @@ class TestBackwardSequence:
             return total_loss(probe, trace, 1, lambda_aux=0.5, l2=0.003)
 
         numeric = finite_diff(loss_at, theta0, 1e-5)
-        analytic = np.concatenate([grads[n].ravel() for n, _ in net.param_blocks()])
         rel = np.abs(analytic - numeric) / np.maximum(
             np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
         assert rel.max() < 1e-4
@@ -361,7 +361,7 @@ class TestBackwardSequence:
         X = np.random.default_rng(33).standard_normal((3, 2))
         ref = forward_sequence(net, X, label=2, training=True,
                                rng=np.random.default_rng(5))
-        grads = backward_sequence(net, ref, 2, lambda_aux=0.5, l2=0.0)
+        analytic = backward_sequence(net, ref, 2, lambda_aux=0.5, l2=0.0)
         theta0 = net.flatten_params().copy()
 
         def loss_at(theta):
@@ -372,7 +372,6 @@ class TestBackwardSequence:
             return total_loss(probe, trace, 2, lambda_aux=0.5, l2=0.0)
 
         numeric = finite_diff(loss_at, theta0, 1e-5)
-        analytic = np.concatenate([grads[n].ravel() for n, _ in net.param_blocks()])
         rel = np.abs(analytic - numeric) / np.maximum(
             np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
         assert rel.max() < 1e-4
@@ -403,6 +402,18 @@ class TestCheckpoint:
         for (na, a), (nb, b) in zip(net.param_blocks(), back.param_blocks()):
             assert na == nb
             assert np.array_equal(a, b)
+
+    def test_load_draws_no_random_network(self, tmp_path, monkeypatch):
+        net = tiny_net(seed=34, units=(3, 2), placement="all")
+        path = os.path.join(tmp_path, "net.ckpt")
+        save_checkpoint(net, path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint created a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        back = load_checkpoint(path)
+        assert np.array_equal(back.theta, net.theta) and back.theta.flags.writeable
 
     def test_round_trip_preserves_predictions(self, tmp_path):
         net = tiny_net(seed=35)
@@ -530,6 +541,46 @@ class TestCheckpoint:
                     assert count == net.flatten_params().size
 
 
+class TestGoldenLayout:
+    """Pinned across versions: the block order and shapes, the draw order at
+    init and the checkpoint format. A change to any of them fails here."""
+
+    LSTM_BLOCKS = ["U_i", "U_f", "U_c", "U_o", "W_i", "W_f", "W_c", "W_o",
+                   "P_i", "P_f", "P_o", "b_i", "b_f", "b_c", "b_o"]
+
+    def test_one_layer_top_diag(self):
+        layout = param_layout(4, (3,), 3, "top", "diag")
+        want = [(f"layer0.{f}", s) for f, s in zip(
+            self.LSTM_BLOCKS, [(3, 4)] * 4 + [(3, 3)] * 4 + [(3,)] * 7)]
+        want += [("per_step.V", (3, 3)), ("per_step.c", (3,)),
+                 ("final.V", (3, 3)), ("final.c", (3,))]
+        assert layout == want
+
+    def test_two_layers_all_full(self):
+        layout = param_layout(4, (3, 2), 3, "all", "full")
+        want = [(f"layer0.{f}", s) for f, s in zip(
+            self.LSTM_BLOCKS, [(3, 4)] * 4 + [(3, 3)] * 7 + [(3,)] * 4)]
+        want += [(f"layer1.{f}", s) for f, s in zip(
+            self.LSTM_BLOCKS, [(2, 3)] * 4 + [(2, 2)] * 7 + [(2,)] * 4)]
+        want += [("aux0.V", (3, 3)), ("aux0.c", (3,)), ("per_step.V", (3, 2)),
+                 ("per_step.c", (3,)), ("final.V", (3, 2)), ("final.c", (3,))]
+        assert layout == want
+
+    @pytest.mark.parametrize("units, placement, peephole, digest", [
+        ((3,), "top", "diag", "ddef22ca82bf27d8f8e1c10e3e5c0136a21fd01d0dba8972208df18e93aa6a32"),
+        ((3, 2), "all", "full", "d033f88220465bc405abcf9da4b5a98ed7e4a87c37a0018a6c833ebf6f48cb2f"),
+    ])
+    def test_checkpoint_digest(self, tmp_path, units, placement, peephole, digest):
+        net = build_network(np.random.default_rng(2024), 4, units, 3, dropout_p=0.25,
+                            hist_cfg=HistoricalConfig(tau=2), hist_placement=placement,
+                            peephole=peephole)
+        assert [(n, a.shape) for n, a in net.param_blocks()] == param_layout(
+            4, units, 3, placement, peephole)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 class TestNetworkShape:
     def test_param_blocks_cover_flatten(self):
         net = tiny_net(seed=41, units=(3, 4), placement="all")
@@ -541,6 +592,19 @@ class TestNetworkShape:
         with pytest.raises(ShapeError):
             net.set_flat(theta[:-1])
 
+    def test_blocks_are_views_of_one_vector(self):
+        net = tiny_net(seed=41, units=(3, 4), placement="all")
+        blocks = [p.U_i for p in net.layers] + [h.V for h in net.aux_heads]
+        blocks += [arr for _, arr in net.param_blocks()]
+        assert all(np.shares_memory(arr, net.theta) for arr in blocks)
+        probes = np.tile(net.theta, (4, 1))
+        stack = net.with_params(probes)
+        assert stack.theta is probes and np.shares_memory(stack.final_head.V, probes)
+        grad = np.arange(net.theta.size, dtype=np.float64)
+        views = net.views(grad)
+        assert list(views) == [name for name, _ in net.param_blocks()]
+        assert np.array_equal(np.concatenate([v.ravel() for v in views.values()]), grad)
+
     def test_clone_is_deep(self):
         net = tiny_net(seed=42)
         twin = net.clone()
@@ -548,18 +612,13 @@ class TestNetworkShape:
         assert not np.array_equal(net.layers[0].U_i, twin.layers[0].U_i)
 
     def test_validation(self):
+        # blocks cut from one vector by the layout cannot disagree on shapes;
+        # what a network can still be given wrong is the vector's length
         net = tiny_net(seed=43)
-        with pytest.raises(ShapeError):
-            StackedNetwork(
-                layers=net.layers,
-                per_step_head=net.per_step_head,
-                final_head=HeadParams(V=np.zeros((3, 9)), c=np.zeros(3)),
-                aux_heads=[],
-                dropout_p=0.0,
-                hist_cfg=HistoricalConfig(),
-                hist_placement="top",
-                use_historical=True,
-            )
+        with pytest.raises(ShapeError, match="parameter stack has shape"):
+            replace(net, theta=net.theta[:-1])
+        with pytest.raises(ValueError, match="unknown peephole mode"):
+            replace(net, peephole="none")
         with pytest.raises(ValueError):
             build_network(np.random.default_rng(0), 2, [], 3)
 

@@ -131,6 +131,26 @@ class TestCrossEntropy:
             cross_entropy(np.float64(0.5), 0)
 
 
+    def test_per_row_labels_score_each_row_bitwise(self):
+        rng = np.random.default_rng(6)
+        P = softmax(rng.standard_normal((2000, 5)) * 10)
+        P[0] = [0.0, 1.0, 0.0, 0.0, 0.0]  # floored
+        labels = rng.integers(5, size=2000)
+        labels[0] = 1
+        losses = cross_entropy(P, labels)
+        assert losses.shape == (2000,)
+        for row, y, loss in zip(P, labels.tolist(), losses.tolist()):
+            assert loss == cross_entropy(row, y)
+        assert cross_entropy(P[:0], labels[:0]).shape == (0,)
+
+    def test_per_row_label_out_of_range_or_misshapen(self):
+        P = np.full((3, 2), 0.5)
+        for bad in (2, -1):
+            with pytest.raises(IndexError, match=f"label {bad} out of range for 2 classes"):
+                cross_entropy(P, np.array([0, bad, 1]))
+        with pytest.raises(ShapeError):
+            cross_entropy(P, np.array([0, 1]))
+
 class TestFiniteDiff:
     def test_quadratic(self):
         g = finite_diff(lambda t: float(t @ t), np.array([3.0]))

@@ -68,11 +68,16 @@ class TestAdam:
         net = tiny_cfg().build(rng, 3, 2)
         return net, AdamState.for_network(net)
 
+    def test_moments_are_one_flat_block(self):
+        net, state = self.net_and_state()
+        assert list(state.m) == list(state.v) == ["theta"]
+        assert state.m["theta"].shape == state.v["theta"].shape == net.theta.shape
+
     def test_first_step_closed_form(self):
         # t=1: m_hat = g and v_hat = g*g exactly, so the update is
         # -lr * g / (|g| + eps) regardless of beta values
         net, state = self.net_and_state()
-        params = net.param_blocks()
+        params = [("theta", net.theta)]
         rng = np.random.default_rng(5)
         grads = {name: rng.standard_normal(arr.shape) for name, arr in params}
         before = {name: arr.copy() for name, arr in params}
@@ -85,7 +90,7 @@ class TestAdam:
 
     def test_zero_gradient_is_noop(self):
         net, state = self.net_and_state()
-        params = net.param_blocks()
+        params = [("theta", net.theta)]
         before = {name: arr.copy() for name, arr in params}
         grads = {name: np.zeros_like(arr) for name, arr in params}
         adam_step(params, grads, state, lr=1.0)
@@ -96,7 +101,7 @@ class TestAdam:
         # with a constant gradient the bias corrections cancel at every t,
         # so each step is exactly -lr * g / (|g| + eps)
         net, state = self.net_and_state()
-        params = net.param_blocks()
+        params = [("theta", net.theta)]
         rng = np.random.default_rng(6)
         grads = {name: rng.standard_normal(arr.shape) for name, arr in params}
         for t in range(5):
@@ -110,7 +115,7 @@ class TestAdam:
 
     def test_updates_apply_in_place(self):
         net, state = self.net_and_state()
-        params = net.param_blocks()
+        params = [("theta", net.theta)]
         handle = params[0][1]
         grads = {name: np.ones_like(arr) for name, arr in params}
         out_params, out_state = adam_step(params, grads, state, lr=0.1)
@@ -119,7 +124,7 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         net, state = self.net_and_state()
-        params = net.param_blocks()
+        params = [("theta", net.theta)]
         grads = {name: np.zeros_like(arr) for name, arr in params}
         grads[params[0][0]] = np.zeros(999)
         with pytest.raises(ShapeError, match="shape"):
@@ -197,9 +202,8 @@ class TestBatchGradients:
         g0, loss0, _ = _batch_gradients(net, ds, [0], cfg, rng)
         g1, loss1, _ = _batch_gradients(net, ds, [1], cfg, rng)
         assert loss01 == pytest.approx((loss0 + loss1) / 2, rel=1e-15)
-        for name in g01:
-            assert np.allclose(g01[name], (g0[name] + g1[name]) / 2,
-                               rtol=0, atol=1e-15)
+        assert g01.shape == net.theta.shape
+        assert np.allclose(g01, (g0 + g1) / 2, rtol=0, atol=1e-15)
 
     def test_batch_accuracy_fraction(self):
         ds = separable_dataset(n_per_class=2)
@@ -247,6 +251,15 @@ class TestTrain:
                                ds.n_classes)
         with pytest.raises(ShapeError, match="dim"):
             train(ds, tiny_cfg(), net=net)
+
+    def test_class_count_mismatch_rejected_before_training(self):
+        ds = synth_keyframe_dataset(SynthConfig(classes=4, dim=3, length=4,
+                                                signal_window=(0, 4), n_per_class=2))
+        net = tiny_cfg().build(np.random.default_rng(0), ds.dim, 2)
+        before = net.flatten_params()
+        with pytest.raises(ValueError, match="^dataset declares 4 classes, model has 2$"):
+            train(ds, tiny_cfg(), net=net)
+        assert np.array_equal(net.flatten_params(), before)
 
     def test_overflow_abort_names_step(self):
         # a 1e200 weight keeps the forward pass finite (gates saturate) but
