@@ -12,7 +12,8 @@ benchmark was built and are refused.
 
 The output holds both commits, the machine, each side's `wc -l
 src/histlstm/*.py` total, every pair's end-to-end values, failed counts and
-round digests, and per metric (as BENCHMARK.json declares it) both sides'
+round digests, `outputs_identical` (every pair's base and change rounds gave
+the same digests), and per metric (as BENCHMARK.json declares it) both sides'
 medians and quartiles, the change's win count, and two verdicts:
 
 - the gain rule: the change better in at least 9 of 10 pairs and the
@@ -97,6 +98,11 @@ def src_lines(tree: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "histlstm").glob("*.py"))
 
 
+def outputs_identical(pairs: list) -> bool:
+    """True when the base and the change gave the same round digests in every pair."""
+    return all(p["base"]["digests"] == p["change"]["digests"] for p in pairs)
+
+
 def summarize(pairs: list, spec: dict) -> dict:
     out = {}
     for metric in spec["end_to_end"]:
@@ -174,6 +180,7 @@ def main(argv=None) -> int:
         },
         "pairs": pairs,
         "failed": {side: sum(p[side]["failed"] for p in pairs) for side in ("base", "change")},
+        "outputs_identical": outputs_identical(pairs),
         "metrics": summarize(pairs, spec),
     }
     out = ROOT / f"BENCH_{args.tag}.json"
@@ -183,6 +190,7 @@ def main(argv=None) -> int:
               f"(base IQR {m['base']['iqr']:.3g}); change better in {m['change_wins']}/"
               f"{len(pairs)}; gain rule {'met' if m['gain_rule_met'] else 'not met'}; "
               f"within bound {m['within_bound']}{' (unresolved)' if m['unresolved'] else ''}")
+    print(f"outputs identical: {report['outputs_identical']}")
     print(f"src/histlstm lines: {report['src_lines']['base']} -> {report['src_lines']['change']}")
     print(f"wrote {out}")
     return 0

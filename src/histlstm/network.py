@@ -14,7 +14,7 @@ import operator
 import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -92,6 +92,33 @@ def _cuts(input_dim: int, layer_units: tuple, n_classes: int, hist_placement: st
     return tuple(cuts)
 
 
+class GateBlocks(NamedTuple):
+    """One layer's LSTM blocks with the gates fused: U (4U, D), W (4U, U),
+    P (3, U) or (3, U, U) and b (4U,), rows in i, f, c, o order (P: i, f,
+    o). A stack gives each a leading K."""
+
+    U: np.ndarray
+    W: np.ndarray
+    P: np.ndarray
+    b: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _gate_cuts(*shape_key) -> tuple:
+    """Per layer, (start, stop, fused shape) of its U, W, P and b groups:
+    each group of LSTM_FIELDS lies side by side in the parameter vector."""
+    at = {name: (a, b, shape) for name, a, b, shape, _ in _cuts(*shape_key)}
+    layers = []
+    for k in range(len(shape_key[1])):
+        group = []
+        for first, last in (("U_i", "U_o"), ("W_i", "W_o"), ("P_i", "P_o"), ("b_i", "b_o")):
+            start, _, shape = at[f"layer{k}.{first}"]
+            fused = (3,) + shape if first == "P_i" else (4 * shape[0],) + shape[1:]
+            group.append((start, at[f"layer{k}.{last}"][1], fused))
+        layers.append(tuple(group))
+    return tuple(layers)
+
+
 @dataclass
 class StackedNetwork:
     """One parameter vector theta, (P,) or a stack (K, P), cut by
@@ -108,6 +135,7 @@ class StackedNetwork:
     use_historical: bool
     # Views of theta, cut once at construction.
     layers: list = field(init=False, repr=False)  # of LstmParams, input side first
+    gates: list = field(init=False, repr=False)  # of GateBlocks, the same layers fused
     aux_heads: list = field(init=False, repr=False)  # per lower layer, "all" placement only
     per_step_head: HeadParams = field(init=False, repr=False)  # scores top-layer responses
     final_head: HeadParams = field(init=False, repr=False)  # scores historical states
@@ -122,8 +150,10 @@ class StackedNetwork:
         if not self.layer_units:
             raise ValueError("need at least one layer")
         self.layer_units = list(self.layer_units)
-        self._cuts = _cuts(self.input_dim, tuple(self.layer_units), self.n_classes,
-                           self.hist_placement, self.peephole)
+        shape_key = (self.input_dim, tuple(self.layer_units), self.n_classes,
+                     self.hist_placement, self.peephole)
+        self._cuts = _cuts(*shape_key)
+        self._gate_cuts = _gate_cuts(*shape_key)
         need = self._cuts[-1][2]
         self.theta = np.asarray(self.theta, dtype=np.float64)
         if self.theta.ndim not in (1, 2) or self.theta.shape[-1] != need:
@@ -135,6 +165,7 @@ class StackedNetwork:
         self._l2 = [views[name] for name, *_, l2 in self._cuts if l2]
         self.layers = [LstmParams(*(views[f"layer{k}.{f}"] for f in LSTM_FIELDS))
                        for k in range(len(self.layer_units))]
+        self.gates = self.gate_blocks(self.theta)
         heads = [HeadParams(views[name[:-1] + "V"], views[name])
                  for name in views if name.endswith(".c")]  # aux..., per-step, final
         self.aux_heads, self.per_step_head, self.final_head = heads[:-2], heads[-2], heads[-1]
@@ -149,6 +180,12 @@ class StackedNetwork:
         (with the leading K of a stack), in layout order."""
         lead = vec.shape[:-1]
         return {name: vec[..., a:b].reshape(lead + shape) for name, a, b, shape, _ in self._cuts}
+
+    def gate_blocks(self, vec: np.ndarray) -> list:
+        """Per layer, the GateBlocks views of vec (P,) or (K, P)."""
+        lead = vec.shape[:-1]
+        return [GateBlocks(*(vec[..., a:b].reshape(lead + shape) for a, b, shape in cuts))
+                for cuts in self._gate_cuts]
 
     def param_blocks(self) -> list:
         """All parameters as (name, view of theta) pairs in layout order."""
@@ -225,12 +262,9 @@ class LayerTrace:
     x: np.ndarray  # (T, in_dim) inputs actually fed (post-dropout of the layer below)
     h: np.ndarray  # (T, U)
     # The rest only BPTT reads, so a stacked pass leaves them None.
-    c: Optional[np.ndarray]
+    c: Optional[np.ndarray]  # (T, U)
     tc: Optional[np.ndarray]  # tanh(c), cached
-    i: Optional[np.ndarray]
-    f: Optional[np.ndarray]
-    g: Optional[np.ndarray]
-    o: Optional[np.ndarray]
+    gates: Optional[np.ndarray]  # (T, 4, U): the i, f, g, o activations
 
 
 @dataclass
@@ -256,48 +290,49 @@ def _frames_of(x) -> np.ndarray:
     return frames
 
 
-def _layer_forward(p: LstmParams, X: np.ndarray) -> LayerTrace:
-    """One layer over X (T, D); with stacked parameters (leading axis K), X
-    is (T, D) shared by every set or (K, T, D), h is (K, T, U), and the gates
-    and cell states are not kept."""
+def _layer_forward(p: GateBlocks, X: np.ndarray) -> LayerTrace:
+    """One layer over X (T, D), each step's four gates as one (4, U) block;
+    with stacked parameters (leading axis K), X is (T, D) shared by every set
+    or (K, T, D), h is (K, T, U), and the gates and cell states are not kept."""
     T = X.shape[-2]
-    stacked = p.U_i.ndim == 3
-    # Input contributions for all timesteps at once (a stack's with the time
-    # axis first); the recurrent parts stay in the step loop.
-    zx_i = X @ np.swapaxes(p.U_i, -1, -2) + p.b_i[..., None, :]
-    zx_f = X @ np.swapaxes(p.U_f, -1, -2) + p.b_f[..., None, :]
-    zx_c = X @ np.swapaxes(p.U_c, -1, -2) + p.b_c[..., None, :]
-    zx_o = X @ np.swapaxes(p.U_o, -1, -2) + p.b_o[..., None, :]
+    stacked = p.U.ndim == 3
+    # Input contributions of every gate and timestep in one call, read as
+    # (T, …, 4, U); the recurrent part stays in the loop. It makes one
+    # (T, D) @ (D, U) product per gate: at U = 1 a fused (D, 4U) product is
+    # a GEMM where those are matrix-vector products, which sum in another order.
+    UT = np.swapaxes(p.U.reshape(p.U.shape[:-2] + (4, -1, X.shape[-1])), -1, -2)
+    ZX = X[..., None, :, :] @ UT + p.b.reshape(p.b.shape[:-1] + (4, 1, -1))
+    ZX = np.moveaxis(ZX, -2, 0)
+    gate_shape = ZX.shape[1:]
+    state_shape = gate_shape[:-2] + gate_shape[-1:]
+    H = np.empty((T,) + state_shape)
     if stacked:
-        zx_i, zx_f, zx_c, zx_o = (np.moveaxis(z, 1, 0) for z in (zx_i, zx_f, zx_c, zx_o))
-    shape = zx_i.shape
-    H = np.empty(shape)
-    if stacked:
-        C = TC = I = F = G = O = None
+        C = TC = G = None
     else:
-        C, TC, I, F, G, O = (np.empty(shape) for _ in range(6))
-    h = np.zeros(shape[1:])
-    c = np.zeros(shape[1:])
+        C, TC, G = np.empty(H.shape), np.empty(H.shape), np.empty(ZX.shape)
+    P_if, P_o = (p.P[:, :2], p.P[:, 2]) if stacked else (p.P[:2], p.P[2])
+    h = np.zeros(state_shape)
+    c = np.zeros(state_shape)
     mv = matvec if stacked else operator.matmul  # W @ h, without matvec's call
     for t in range(T):
-        i = sigmoid(zx_i[t] + mv(p.W_i, h) + peep_apply(p.P_i, c))
-        f = sigmoid(zx_f[t] + mv(p.W_f, h) + peep_apply(p.P_f, c))
-        g = np.tanh(zx_c[t] + mv(p.W_c, h))
+        z = ZX[t] + mv(p.W, h).reshape(gate_shape)
+        i_f = sigmoid(z[..., :2, :] + peep_apply(P_if, c[..., None, :]))
+        i, f = i_f[..., 0, :], i_f[..., 1, :]
+        g = np.tanh(z[..., 2, :])
         c = f * c + i * g
-        o = sigmoid(zx_o[t] + mv(p.W_o, h) + peep_apply(p.P_o, c))
+        o = sigmoid(z[..., 3, :] + peep_apply(P_o, c))
         tc = np.tanh(c)
         h = o * tc
         H[t] = h
         if not stacked:
-            I[t] = i
-            F[t] = f
-            G[t] = g
-            O[t] = o
+            G[t, :2] = i_f
+            G[t, 2] = g
+            G[t, 3] = o
             C[t] = c
             TC[t] = tc
     if stacked:  # the stack axis goes first again
         H = np.moveaxis(H, 0, 1)
-    return LayerTrace(x=X, h=H, c=C, tc=TC, i=I, f=F, g=G, o=O)
+    return LayerTrace(x=X, h=H, c=C, tc=TC, gates=G)
 
 
 def _scored_layers(net: StackedNetwork) -> list:
@@ -404,7 +439,7 @@ def forward_sequence(
 
     cur = X
     for k in range(L):
-        lt = _layer_forward(net.layers[k], cur)
+        lt = _layer_forward(net.gates[k], cur)
         layer_traces.append(lt)
         top = k == L - 1
         if top or k in scored:
@@ -532,74 +567,75 @@ def _historical_backward(records: list, dl_in: np.ndarray) -> np.ndarray:
 
 
 def _layer_backward(
-    p: LstmParams, lt: LayerTrace, dH_in: np.ndarray, grads: dict, prefix: str
-) -> np.ndarray:
-    """BPTT through one LSTM layer; accumulates into grads, returns dX.
+    p: GateBlocks, lt: LayerTrace, dH_in: np.ndarray, grad: GateBlocks, want_dX: bool
+) -> Optional[np.ndarray]:
+    """BPTT through one LSTM layer; accumulates into grad, returns dX if
+    want_dX. dz_t, the gradient at the four gate pre-activations, is
+    written as one (4, U) block per step.
 
     The output gate peeks at the fresh cell, so its peephole contribution
     joins dc before the input/forget/candidate gates are handled.
     """
     T, U = lt.h.shape
-    diag = p.P_i.ndim == 1
-    DZi = np.empty((T, U))
-    DZf = np.empty((T, U))
-    DZc = np.empty((T, U))
-    DZo = np.empty((T, U))
-    dP_i = np.zeros_like(p.P_i)
-    dP_f = np.zeros_like(p.P_f)
-    dP_o = np.zeros_like(p.P_o)
+    G = lt.gates
+    C_prev = np.vstack([np.zeros((1, U)), lt.c[:-1]])
+    # Every step's derivative factors at once: 1 - a of the sigmoid gates and
+    # 1 - g^2 of the candidate fill DZ (gate-major, so each gate's (T, U)
+    # block is contiguous), and step t replaces its column with dz_t.
+    DZ = np.empty((4, T, U))
+    np.subtract(1.0, np.swapaxes(G, 0, 1), out=DZ)
+    DZ[2] = 1.0 - G[:, 2] * G[:, 2]
+    dtc = 1.0 - lt.tc * lt.tc
+    g_c = np.stack([G[:, 2], C_prev], axis=1)  # what dc meets on the i and f paths
+    WT = np.swapaxes(p.W.reshape(4, U, U), -1, -2)
+    diag = p.P.ndim == 2
+    PT = p.P if diag else np.swapaxes(p.P, -1, -2)
+    PT_if, PT_o = PT[:2], PT[2]
     dh_carry = np.zeros(U)
     dc_carry = np.zeros(U)
-    zero = np.zeros(U)
     for t in reversed(range(T)):
         dh = dH_in[t] + dh_carry
-        c_prev = lt.c[t - 1] if t > 0 else zero
-        i, f, g, o, tc = lt.i[t], lt.f[t], lt.g[t], lt.o[t], lt.tc[t]
-        do = dh * tc
-        dzo = do * o * (1.0 - o)
-        dc = dc_carry + dh * o * (1.0 - tc * tc)
-        dc = dc + (p.P_o * dzo if diag else p.P_o.T @ dzo)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dzi = di * i * (1.0 - i)
-        dzf = df * f * (1.0 - f)
-        dzc = dg * (1.0 - g * g)
-        if diag:
-            dP_i += dzi * c_prev
-            dP_f += dzf * c_prev
-            dP_o += dzo * lt.c[t]
-        else:
-            dP_i += np.outer(dzi, c_prev)
-            dP_f += np.outer(dzf, c_prev)
-            dP_o += np.outer(dzo, lt.c[t])
-        dh_carry = p.W_i.T @ dzi + p.W_f.T @ dzf + p.W_c.T @ dzc + p.W_o.T @ dzo
-        dc_carry = dc * f
-        dc_carry = dc_carry + (
-            p.P_i * dzi + p.P_f * dzf if diag else p.P_i.T @ dzi + p.P_f.T @ dzf
-        )
-        DZi[t] = dzi
-        DZf[t] = dzf
-        DZc[t] = dzc
-        DZo[t] = dzo
-    X = lt.x
+        dz = DZ[:, t]
+        o = G[t, 3]
+        dzo = dh * lt.tc[t] * o * dz[3]
+        dc = dc_carry + dh * o * dtc[t]
+        dc = dc + peep_apply(PT_o, dzo)
+        dz[:2] = dc * g_c[t] * G[t, :2] * dz[:2]
+        dz[2] = dc * G[t, 0] * dz[2]
+        dz[3] = dzo
+        q = matvec(WT, dz)
+        dh_carry = q[0] + q[1] + q[2] + q[3]
+        q = peep_apply(PT_if, dz[:2])
+        dc_carry = dc * G[t, 1] + (q[0] + q[1])
+    del dtc, g_c  # freed before the peephole terms are made
+    grad.P[...] += _peephole_grad(DZ, C_prev, lt.c, diag)
+    # One product per gate: a fused (4U, T) @ (T, D) product sums in another order.
     H_prev = np.vstack([np.zeros((1, U)), lt.h[:-1]])
-    grads[prefix + "U_i"] += DZi.T @ X
-    grads[prefix + "U_f"] += DZf.T @ X
-    grads[prefix + "U_c"] += DZc.T @ X
-    grads[prefix + "U_o"] += DZo.T @ X
-    grads[prefix + "W_i"] += DZi.T @ H_prev
-    grads[prefix + "W_f"] += DZf.T @ H_prev
-    grads[prefix + "W_c"] += DZc.T @ H_prev
-    grads[prefix + "W_o"] += DZo.T @ H_prev
-    grads[prefix + "b_i"] += DZi.sum(axis=0)
-    grads[prefix + "b_f"] += DZf.sum(axis=0)
-    grads[prefix + "b_c"] += DZc.sum(axis=0)
-    grads[prefix + "b_o"] += DZo.sum(axis=0)
-    grads[prefix + "P_i"] += dP_i
-    grads[prefix + "P_f"] += dP_f
-    grads[prefix + "P_o"] += dP_o
-    return DZi @ p.U_i + DZf @ p.U_f + DZc @ p.U_c + DZo @ p.U_o
+    gU, gW, gb = grad.U.reshape(4, U, -1), grad.W.reshape(4, U, U), grad.b.reshape(4, U)
+    for k in range(4):
+        gU[k] += DZ[k].T @ lt.x
+        gW[k] += DZ[k].T @ H_prev
+        gb[k] += DZ[k].sum(axis=0)
+    if not want_dX:
+        return None
+    U4 = p.U.reshape(4, U, -1)
+    return DZ[0] @ U4[0] + DZ[1] @ U4[1] + DZ[2] @ U4[2] + DZ[3] @ U4[3]
+
+
+def _peephole_grad(DZ: np.ndarray, C_prev: np.ndarray, C: np.ndarray, diag: bool) -> np.ndarray:
+    """The (3, U) or (3, U, U) gradient of the i, f and o peepholes from the
+    gate-major DZ (4, T, U), each step's term added in descending t."""
+    T, U = C.shape
+    if not diag:  # outer products, without a (T, 3, U, U) array of them
+        dP = np.zeros((3, U, U))
+        for t in reversed(range(T)):
+            dP[:2] += DZ[:2, t, :, None] * C_prev[t]
+            dP[2] += DZ[3, t, :, None] * C[t]
+        return dP
+    terms = np.empty((T, 3, U))
+    np.multiply(np.swapaxes(DZ[:2, ::-1], 0, 1), C_prev[::-1, None], out=terms[:, :2])
+    np.multiply(DZ[3, ::-1], C[::-1], out=terms[:, 2])
+    return terms.sum(axis=0)
 
 
 def backward_sequence(
@@ -618,6 +654,7 @@ def backward_sequence(
     """
     grad = np.zeros(net.theta.shape)
     grads = net.views(grad)
+    gate_grads = net.gate_blocks(grad)
     L = len(net.layers)
     T = trace.T
     scored = set(_scored_layers(net))
@@ -662,7 +699,7 @@ def backward_sequence(
                 dH[T - 1] += d_final_src
             else:
                 dH += d_from_above
-        dX = _layer_backward(net.layers[k], trace.layers[k], dH, grads, f"layer{k}.")
+        dX = _layer_backward(net.gates[k], trace.layers[k], dH, gate_grads[k], k > 0)
         if k > 0:
             mask = trace.masks[k - 1]
             if mask is None:
@@ -671,8 +708,8 @@ def backward_sequence(
                 d_from_above = dX * mask / (1.0 - net.dropout_p)
 
     if l2 != 0.0:
-        for name, arr in net.param_blocks():
-            if is_weight_matrix(name):
+        for (name, arr), (*_, in_l2) in zip(net.param_blocks(), net._cuts):
+            if in_l2:
                 grads[name] += 2.0 * l2 * arr
     return grad
 
@@ -687,6 +724,9 @@ def _index_of(value: str, options: tuple, what: str) -> int:
 def save_checkpoint(net: StackedNetwork, path: str) -> None:
     """Binary snapshot: versioned header, then the parameter vector as raw
     64-bit little-endian floats (its blocks in layout order)."""
+    if net.stack_shape:
+        raise ValueError(f"cannot save a stack of parameter sets (theta {net.theta.shape}): "
+                         "a checkpoint holds one")
     L = len(net.layers)
     head = [
         CHECKPOINT_MAGIC,

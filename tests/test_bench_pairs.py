@@ -59,3 +59,13 @@ def test_src_lines_counts_newlines_of_the_package(tmp_path):
     (pkg / "b.py").write_text("z = 3\n")
     (pkg / "notes.txt").write_text("not\ncounted\n")
     assert pairs.src_lines(tmp_path) == 3
+
+
+def test_outputs_identical_needs_equal_digests_in_every_pair():
+    same = [{"base": {"digests": ["a"]}, "change": {"digests": ["a"]}},
+            {"base": {"digests": ["b", "c"]}, "change": {"digests": ["b", "c"]}}]
+    assert pairs.outputs_identical(same)
+    moved = same + [{"base": {"digests": ["d"]}, "change": {"digests": ["e"]}}]
+    assert not pairs.outputs_identical(moved)
+    extra = same + [{"base": {"digests": ["f"]}, "change": {"digests": ["f", "g"]}}]
+    assert not pairs.outputs_identical(extra)

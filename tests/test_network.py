@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from histlstm.cells import PEEPHOLE_MODES, LstmState, head_predict, lstm_step
+from histlstm.cells import PEEPHOLE_MODES, LstmState, head_predict, lstm_step, matvec, peep_apply
 from dataclasses import replace
 
 from histlstm import historical
@@ -20,6 +20,9 @@ from histlstm.historical import (
 )
 from histlstm.network import (
     HIST_PLACEMENTS,
+    LSTM_FIELDS,
+    _layer_backward,
+    _layer_forward,
     backward_sequence,
     build_network,
     forward_sequence,
@@ -31,7 +34,7 @@ from histlstm.network import (
     save_checkpoint,
     total_loss,
 )
-from histlstm.numerics import EPS_LOSS_FLOOR, ShapeError, cross_entropy, finite_diff
+from histlstm.numerics import EPS_LOSS_FLOOR, ShapeError, cross_entropy, finite_diff, sigmoid
 
 
 def tiny_net(seed=0, units=(3, 3), input_dim=2, n_classes=3, dropout=0.0,
@@ -378,6 +381,14 @@ class TestBackwardSequence:
 
 
 class TestCheckpoint:
+    def test_stack_is_refused_before_the_file_opens(self, tmp_path):
+        net = tiny_net(seed=33)
+        stack = net.with_params(np.tile(net.flatten_params(), (3, 1)))
+        path = tmp_path / "stack.ckpt"
+        with pytest.raises(ValueError, match=re.escape(f"(3, {net.theta.size})")):
+            save_checkpoint(stack, str(path))
+        assert not path.exists()
+
     @pytest.mark.parametrize("kwargs", [
         dict(),
         dict(use_historical=False),
@@ -648,7 +659,7 @@ class TestStackedNetwork:
             assert losses.shape == (5,)
             for lt in replayed.layers:  # only BPTT reads the gates, and it takes no stack
                 assert lt.h.shape[0] == 5
-                assert (lt.c, lt.tc, lt.i, lt.f, lt.g, lt.o) == (None,) * 6
+                assert (lt.c, lt.tc, lt.gates) == (None,) * 3
             for k, theta in enumerate(thetas):
                 one = net.clone()
                 one.set_flat(theta)
@@ -672,3 +683,138 @@ class TestStackedNetwork:
             stack.with_params(np.zeros(P))
         with pytest.raises(ValueError, match="a stacked network runs only replayed passes"):
             forward_sequence(stack, np.zeros((4, 2)), label=0, training=True)
+
+
+def per_gate_forward(p, X):
+    """The layer loop before the gates were fused, one matvec, peephole and
+    sigmoid per gate: the bitwise reference for _layer_forward."""
+    T = X.shape[-2]
+    stacked = p.U_i.ndim == 3
+    zx_i = X @ np.swapaxes(p.U_i, -1, -2) + p.b_i[..., None, :]
+    zx_f = X @ np.swapaxes(p.U_f, -1, -2) + p.b_f[..., None, :]
+    zx_c = X @ np.swapaxes(p.U_c, -1, -2) + p.b_c[..., None, :]
+    zx_o = X @ np.swapaxes(p.U_o, -1, -2) + p.b_o[..., None, :]
+    if stacked:
+        zx_i, zx_f, zx_c, zx_o = (np.moveaxis(z, 1, 0) for z in (zx_i, zx_f, zx_c, zx_o))
+    shape = zx_i.shape
+    H, C, TC, I, F, G, O = (np.empty(shape) for _ in range(7))
+    h = np.zeros(shape[1:])
+    c = np.zeros(shape[1:])
+    mv = matvec if stacked else (lambda M, v: M @ v)
+    for t in range(T):
+        i = sigmoid(zx_i[t] + mv(p.W_i, h) + peep_apply(p.P_i, c))
+        f = sigmoid(zx_f[t] + mv(p.W_f, h) + peep_apply(p.P_f, c))
+        g = np.tanh(zx_c[t] + mv(p.W_c, h))
+        c = f * c + i * g
+        o = sigmoid(zx_o[t] + mv(p.W_o, h) + peep_apply(p.P_o, c))
+        tc = np.tanh(c)
+        h = o * tc
+        H[t], I[t], F[t], G[t], O[t], C[t], TC[t] = h, i, f, g, o, c, tc
+    if stacked:
+        return np.moveaxis(H, 0, 1)
+    return H, C, TC, I, F, G, O
+
+
+def per_gate_backward(p, X, H, C, TC, I, F, G, O, dH_in):
+    """BPTT before the gates were fused: (gradient per LSTM field, dX)."""
+    T, U = H.shape
+    diag = p.P_i.ndim == 1
+    DZi, DZf, DZc, DZo = (np.empty((T, U)) for _ in range(4))
+    dP_i, dP_f, dP_o = (np.zeros_like(p.P_i) for _ in range(3))
+    dh_carry = np.zeros(U)
+    dc_carry = np.zeros(U)
+    zero = np.zeros(U)
+    for t in reversed(range(T)):
+        dh = dH_in[t] + dh_carry
+        c_prev = C[t - 1] if t > 0 else zero
+        i, f, g, o, tc = I[t], F[t], G[t], O[t], TC[t]
+        do = dh * tc
+        dzo = do * o * (1.0 - o)
+        dc = dc_carry + dh * o * (1.0 - tc * tc)
+        dc = dc + (p.P_o * dzo if diag else p.P_o.T @ dzo)
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dzi = di * i * (1.0 - i)
+        dzf = df * f * (1.0 - f)
+        dzc = dg * (1.0 - g * g)
+        if diag:
+            dP_i += dzi * c_prev
+            dP_f += dzf * c_prev
+            dP_o += dzo * C[t]
+        else:
+            dP_i += np.outer(dzi, c_prev)
+            dP_f += np.outer(dzf, c_prev)
+            dP_o += np.outer(dzo, C[t])
+        dh_carry = p.W_i.T @ dzi + p.W_f.T @ dzf + p.W_c.T @ dzc + p.W_o.T @ dzo
+        dc_carry = dc * f
+        dc_carry = dc_carry + (
+            p.P_i * dzi + p.P_f * dzf if diag else p.P_i.T @ dzi + p.P_f.T @ dzf
+        )
+        DZi[t], DZf[t], DZc[t], DZo[t] = dzi, dzf, dzc, dzo
+    H_prev = np.vstack([np.zeros((1, U)), H[:-1]])
+    grads = {"P_i": dP_i, "P_f": dP_f, "P_o": dP_o}
+    for gate, DZ in zip("ifco", (DZi, DZf, DZc, DZo)):
+        grads["U_" + gate] = DZ.T @ X
+        grads["W_" + gate] = DZ.T @ H_prev
+        grads["b_" + gate] = DZ.sum(axis=0)
+    dX = DZi @ p.U_i + DZf @ p.U_f + DZc @ p.U_c + DZo @ p.U_o
+    return grads, dX
+
+
+class TestFusedGates:
+    """The fused-gate layer loops give the per-gate loops' bits."""
+
+    D = 5
+
+    def layer(self, units, peephole, seed):
+        net = build_network(np.random.default_rng(seed), self.D, (units,), 3,
+                            peephole=peephole)
+        rng = np.random.default_rng(seed + 1)
+        net.set_flat(0.6 * rng.standard_normal(net.theta.size))
+        return net, rng
+
+    @pytest.mark.parametrize("peephole", PEEPHOLE_MODES)
+    @pytest.mark.parametrize("units", [1, 3, 24])
+    def test_forward_and_backward_match_the_per_gate_loops(self, units, peephole):
+        net, rng = self.layer(units, peephole, seed=60 + units)
+        for T in (1, 6, 30, 480, 1920):
+            X = rng.standard_normal((T, self.D))
+            lt = _layer_forward(net.gates[0], X)
+            H, C, TC, I, F, G, O = per_gate_forward(net.layers[0], X)
+            assert np.array_equal(lt.h, H) and np.array_equal(lt.c, C)
+            assert np.array_equal(lt.tc, TC)
+            assert np.array_equal(lt.gates, np.stack([I, F, G, O], axis=1))
+            dH = rng.standard_normal((T, units))
+            grad = np.zeros(net.theta.size)
+            dX = _layer_backward(net.gates[0], lt, dH, net.gate_blocks(grad)[0], True)
+            want, want_dX = per_gate_backward(net.layers[0], X, H, C, TC, I, F, G, O, dH)
+            views = net.views(grad)
+            for name in LSTM_FIELDS:
+                assert np.array_equal(views["layer0." + name], want[name]), (T, name)
+            assert np.array_equal(dX, want_dX), T
+            again = np.zeros(net.theta.size)
+            assert _layer_backward(net.gates[0], lt, dH, net.gate_blocks(again)[0],
+                                   False) is None
+            assert np.array_equal(again, grad)
+
+    @pytest.mark.parametrize("peephole", PEEPHOLE_MODES)
+    @pytest.mark.parametrize("units", [1, 3, 24])
+    def test_stacked_forward_matches_the_per_gate_loop(self, units, peephole):
+        net, rng = self.layer(units, peephole, seed=70 + units)
+        stack = net.with_params(net.theta + 0.3 * rng.standard_normal((4, net.theta.size)))
+        for T in (1, 6, 30, 480, 1920):
+            for X in (rng.standard_normal((T, self.D)), rng.standard_normal((4, T, self.D))):
+                lt = _layer_forward(stack.gates[0], X)
+                assert (lt.c, lt.tc, lt.gates) == (None,) * 3
+                assert np.array_equal(lt.h, per_gate_forward(stack.layers[0], X)), T
+
+    def test_gate_blocks_are_the_named_blocks_side_by_side(self):
+        for peephole in PEEPHOLE_MODES:
+            net = tiny_net(seed=80, units=(3, 4), placement="all", peephole=peephole)
+            for p, g in zip(net.layers, net.gates):
+                assert all(np.shares_memory(a, net.theta) for a in g)
+                assert np.array_equal(g.U, np.concatenate([p.U_i, p.U_f, p.U_c, p.U_o]))
+                assert np.array_equal(g.W, np.concatenate([p.W_i, p.W_f, p.W_c, p.W_o]))
+                assert np.array_equal(g.P, np.stack([p.P_i, p.P_f, p.P_o]))
+                assert np.array_equal(g.b, np.concatenate([p.b_i, p.b_f, p.b_c, p.b_o]))
