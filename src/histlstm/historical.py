@@ -59,7 +59,8 @@ class StepRecord:
     """What happened at one update: branch taken and the frozen coefficients.
 
     The coefficients (alpha, or the truncation_weights of the window) are
-    treated as constants by backpropagation, so recording them replays the step.
+    treated as constants by backpropagation, so recording them replays the
+    step: a truncation state is the mean of the last len(weights) responses.
     """
 
     branch: str  # "init" | "blend" | "trunc"
@@ -132,6 +133,32 @@ def truncation_weights(t: int, tau: int, mode: str) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
+def window_mean(window: np.ndarray) -> np.ndarray:
+    """The mean of a window (n, ...) of responses: (1/n) * h added from +0 in
+    ascending order, as np.add.accumulate does, so it has the bits of the
+    full-buffer sum whose earlier terms are 0 * h."""
+    terms = (1.0 / len(window)) * window
+    terms[0] += 0.0
+    return np.add.accumulate(terms)[-1]
+
+
+def truncation_states(H: np.ndarray, tau: int) -> np.ndarray:
+    """Every step's sliding-window truncation state from the responses H
+    (T, U), or a stack (K, T, U): row t-1 has the bits of window_mean over the
+    last min(tau, t) responses, since one pass per window offset adds w * h
+    to every row whose window is longer, from +0 in ascending order."""
+    T = H.shape[-2]
+    m = min(tau, T)
+    S = np.zeros(H.shape)
+    w = 1.0 / np.arange(1.0, m + 1.0)[:, None]
+    for j in range(m):
+        S[..., j:m, :] += w[j:] * H[..., j, None, :]
+    if T > tau:
+        for j in range(tau):
+            S[..., tau:, :] += (1.0 / tau) * H[..., j + 1:T - tau + j + 1, :]
+    return S
+
+
 def step_loss(head: HeadParams, state: np.ndarray, label: int) -> float:
     """Floored cross-entropy of the head's prediction from a state vector."""
     return cross_entropy(head_predict(head, state), label)
@@ -146,34 +173,23 @@ def initial_trace(h1: np.ndarray, loss_fn: LossFn) -> HistoricalTrace:
     )
 
 
-def _step(
-    trace: HistoricalTrace,
-    h_t: np.ndarray,
-    alpha: Optional[float],
-    weights: Optional[np.ndarray],
-    make_record: Callable[[np.ndarray], StepRecord],
-) -> HistoricalTrace:
-    """The recursion itself, shared by live and replayed updates: append h_t,
-    form l_t by blending with alpha or as the weighted sum of the last
-    len(weights) responses, and store the StepRecord make_record(l_t) returns.
-    The sum starts from +0 in ascending index order, so for finite responses
-    it has the bits of the full-buffer sum with terms 0 * h_k before the window.
-    """
-    buffer = trace.h_buffer + [h_t]
-    if weights is None:
-        l_new = alpha * h_t + (1.0 - alpha) * trace.l
-    else:
-        l_new = np.zeros_like(trace.l)
-        for w, h in zip(weights.tolist(), buffer[len(buffer) - len(weights):]):
-            l_new += w * h
-    rec = make_record(l_new)
-    return HistoricalTrace(
-        l=l_new,
-        h_buffer=buffer,
-        eps_l=rec.eps_l_new,
-        records=trace.records + [rec],
-        l_history=trace.l_history + [l_new],
-    )
+def _next_state(trace: HistoricalTrace, h_t: np.ndarray, alpha: Optional[float],
+                n: Optional[int], state: Optional[np.ndarray]) -> np.ndarray:
+    """l_t: h_t blended into l_{t-1} with weight alpha, or (alpha None) the
+    mean of the last n responses: a copy of state if given (so the array it
+    is a row of can be freed), else window_mean of them."""
+    if alpha is not None:
+        return alpha * h_t + (1.0 - alpha) * trace.l
+    if state is None:
+        return window_mean(np.array(trace.h_buffer[len(trace.h_buffer) + 1 - n:] + [h_t]))
+    return state.copy()
+
+
+def _step(trace: HistoricalTrace, h_t: np.ndarray, l_new: np.ndarray,
+          rec: StepRecord) -> HistoricalTrace:
+    """The bookkeeping shared by live and replayed updates: append h_t, l_t, rec."""
+    return HistoricalTrace(l=l_new, h_buffer=trace.h_buffer + [h_t], eps_l=rec.eps_l_new,
+                           records=trace.records + [rec], l_history=trace.l_history + [l_new])
 
 
 def historical_update(
@@ -182,14 +198,16 @@ def historical_update(
     eps_h: float,
     cfg: HistoricalConfig,
     loss_fn: LossFn,
+    trunc: Optional[tuple] = None,
 ) -> HistoricalTrace:
     """Advance the historical state by one response.
 
     Appends h_t to the buffer, takes the blend or truncation branch on the
     loss comparison, re-scores the new state through loss_fn, and returns a
     new trace. A literal window that is still degenerate (t <= tau) falls
-    back to the sliding rule for that step. A new state that is not finite
-    (the literal alpha can amplify l without bound) raises ValueError.
+    back to the sliding rule for that step. The truncation branch takes its
+    (state, loss) from trunc if given. A new state that is not finite (the
+    literal alpha can amplify l without bound) raises ValueError.
     """
     if h_t.shape != trace.l.shape:
         raise ShapeError(f"response {h_t.shape} does not match state {trace.l.shape}")
@@ -197,41 +215,40 @@ def historical_update(
         raise ValueError(f"eps_h must be positive (floored), got {eps_h}")
     t = trace.t + 1
     if eps_h >= trace.eps_l:
-        branch, w = "blend", None
+        branch, w, trunc = "blend", None, None
         alpha = compute_alpha(trace.eps_l, eps_h, cfg.alpha_policy)
     else:
         branch, alpha = "trunc", None
         degenerate = cfg.window_mode == "literal" and t <= cfg.tau
         w = truncation_weights(t, cfg.tau, "sliding" if degenerate else cfg.window_mode)
-
-    def make_record(l_new: np.ndarray) -> StepRecord:
-        if not np.isfinite(l_new).all():
-            raise ValueError(
-                f"historical state is not finite at step t={t} ({branch} branch, alpha={alpha})"
-            )
-        return StepRecord(
-            branch=branch,
-            eps_h=eps_h,
-            eps_l_prev=trace.eps_l,
-            eps_l_new=loss_fn(l_new),
-            alpha=alpha,
-            weights=w,
-        )
-
-    return _step(trace, h_t, alpha, w, make_record)
+    l_new = _next_state(trace, h_t, alpha, None if w is None else len(w),
+                        None if trunc is None else trunc[0])
+    if not np.isfinite(l_new).all():
+        raise ValueError(f"historical state is not finite at step t={t} "
+                         f"({branch} branch, alpha={alpha})")
+    rec = StepRecord(
+        branch=branch,
+        eps_h=eps_h,
+        eps_l_prev=trace.eps_l,
+        eps_l_new=loss_fn(l_new) if trunc is None else trunc[1],
+        alpha=alpha,
+        weights=w,
+    )
+    return _step(trace, h_t, l_new, rec)
 
 
-def replay_update(
-    trace: HistoricalTrace, h_t: np.ndarray, record: StepRecord, cfg: HistoricalConfig
-) -> HistoricalTrace:
-    """Advance the state reusing a recorded branch and its frozen coefficients.
+def replay_update(trace: HistoricalTrace, h_t: np.ndarray, record: StepRecord,
+                  cfg: HistoricalConfig, state: Optional[np.ndarray] = None) -> HistoricalTrace:
+    """Advance the state reusing a recorded branch and its frozen coefficients
+    (a truncation step takes its state from state if given).
 
     Used to evaluate the loss with the branch schedule pinned, which is the
     function the stop-gradient backward pass actually differentiates.
     """
     if record.branch not in ("blend", "trunc"):
         raise ValueError(f"cannot replay branch {record.branch!r} mid-sequence")
-    return _step(trace, h_t, record.alpha, record.weights, lambda l_new: record)
+    n = None if record.weights is None else len(record.weights)
+    return _step(trace, h_t, _next_state(trace, h_t, record.alpha, n, state), record)
 
 
 def inference_losses(step_probs: np.ndarray, policy: str) -> tuple[list, list]:

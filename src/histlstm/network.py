@@ -38,6 +38,7 @@ from .historical import (
     initial_trace,
     replay_update,
     step_loss,
+    truncation_states,
 )
 from .numerics import EPS_LOSS_FLOOR, ShapeError, cross_entropy, sigmoid
 
@@ -364,15 +365,19 @@ def _run_historical(
     neither losses nor policies are consulted; a stacked network's H is
     (K, T, U) and every state is (K, U). A live pass scores step t's states
     against y_t: the label if given (training), else the inference policy's
-    stand-in (None scores 1). l_{t-1} is rescored when y_t changes.
+    stand-in (None scores 1). l_{t-1} is rescored when y_t changes. Sliding
+    windows' truncation states are formed and scored at the first truncation;
+    a literal pass would cost O(T^2), so each literal truncation sums its own.
     """
     _, l_head = _scoring_heads(net, k)
     cfg = net.hist_cfg
     if replay_records is not None:
         steps = np.moveaxis(H, -2, 0)
+        trunc = cfg.window_mode == "sliding" and any(r.branch == "trunc" for r in replay_records)
+        S = np.moveaxis(truncation_states(H, cfg.tau), -2, 0) if trunc else [None] * len(steps)
         hist = initial_trace(steps[0], lambda s: replay_records[0].eps_l_new)
         for t in range(1, len(steps)):
-            hist = replay_update(hist, steps[t], replay_records[t], cfg)
+            hist = replay_update(hist, steps[t], replay_records[t], cfg, S[t])
         return hist
     if label is not None:
         targets = [label] * len(H)
@@ -381,11 +386,20 @@ def _run_historical(
         targets, eps_h = inference_losses(step_probs, cfg.inference_policy)
     scorers = [(lambda s: 1.0) if y is None else partial(step_loss, l_head, label=y)
                for y in targets]
+    S = None
     hist = initial_trace(H[0], scorers[0])
     for t in range(1, len(H)):
         if targets[t] != targets[t - 1]:
             hist = replace(hist, eps_l=scorers[t](hist.l))
-        hist = historical_update(hist, H[t], eps_h[t], cfg, scorers[t])
+        # historical_update's test for the trunc branch (fixed_blend never passes it)
+        if S is None and cfg.window_mode == "sliding" and eps_h[t] < hist.eps_l:
+            S = truncation_states(H, cfg.tau)
+            ys = label if label is not None else np.array(targets)
+            # (T, 1, U): one matrix-vector product per row, the bits of
+            # step_loss; a (T, U) @ (U, C) product sums in another order.
+            S_loss = cross_entropy(head_predict(l_head, S[:, None, :])[:, 0], ys).tolist()
+        trunc = None if S is None else (S[t], S_loss[t])
+        hist = historical_update(hist, H[t], eps_h[t], cfg, scorers[t], trunc)
     return hist
 
 
@@ -578,15 +592,20 @@ def _layer_backward(
     """
     T, U = lt.h.shape
     G = lt.gates
-    C_prev = np.vstack([np.zeros((1, U)), lt.c[:-1]])
     # Every step's derivative factors at once: 1 - a of the sigmoid gates and
     # 1 - g^2 of the candidate fill DZ (gate-major, so each gate's (T, U)
     # block is contiguous), and step t replaces its column with dz_t.
     DZ = np.empty((4, T, U))
     np.subtract(1.0, np.swapaxes(G, 0, 1), out=DZ)
     DZ[2] = 1.0 - G[:, 2] * G[:, 2]
-    dtc = 1.0 - lt.tc * lt.tc
-    g_c = np.stack([G[:, 2], C_prev], axis=1)  # what dc meets on the i and f paths
+    # F[t] = (g_t, c_{t-1}, 1 - tanh^2 c_t): what dc meets on the i and f
+    # paths, then on the way in from h.
+    F = np.empty((T, 3, U))
+    F[:, 0] = G[:, 2]
+    F[0, 1] = 0.0
+    F[1:, 1] = lt.c[:-1]
+    np.multiply(lt.tc, lt.tc, out=F[:, 2])
+    np.subtract(1.0, F[:, 2], out=F[:, 2])
     WT = np.swapaxes(p.W.reshape(4, U, U), -1, -2)
     diag = p.P.ndim == 2
     PT = p.P if diag else np.swapaxes(p.P, -1, -2)
@@ -598,17 +617,28 @@ def _layer_backward(
         dz = DZ[:, t]
         o = G[t, 3]
         dzo = dh * lt.tc[t] * o * dz[3]
-        dc = dc_carry + dh * o * dtc[t]
+        dc = dc_carry + dh * o * F[t, 2]
         dc = dc + peep_apply(PT_o, dzo)
-        dz[:2] = dc * g_c[t] * G[t, :2] * dz[:2]
+        dz[:2] = dc * F[t, :2] * G[t, :2] * dz[:2]
         dz[2] = dc * G[t, 0] * dz[2]
         dz[3] = dzo
         q = matvec(WT, dz)
         dh_carry = q[0] + q[1] + q[2] + q[3]
         q = peep_apply(PT_if, dz[:2])
         dc_carry = dc * G[t, 1] + (q[0] + q[1])
-    del dtc, g_c  # freed before the peephole terms are made
-    grad.P[...] += _peephole_grad(DZ, C_prev, lt.c, diag)
+    # Peephole gradients, each step's term added in descending t. The loop
+    # no longer reads F, so the diagonal terms overwrite it.
+    C_prev = F[:, 1]
+    if diag:
+        np.multiply(DZ[0], C_prev, out=F[:, 0])
+        np.multiply(DZ[1], C_prev, out=F[:, 1])
+        np.multiply(DZ[3], lt.c, out=F[:, 2])
+        grad.P[...] += F[::-1].sum(axis=0)
+    else:  # outer products, without a (T, 3, U, U) array of them
+        for t in reversed(range(T)):
+            grad.P[:2] += DZ[:2, t, :, None] * C_prev[t]
+            grad.P[2] += DZ[3, t, :, None] * lt.c[t]
+    del F, C_prev
     # One product per gate: a fused (4U, T) @ (T, D) product sums in another order.
     H_prev = np.vstack([np.zeros((1, U)), lt.h[:-1]])
     gU, gW, gb = grad.U.reshape(4, U, -1), grad.W.reshape(4, U, U), grad.b.reshape(4, U)
@@ -616,26 +646,14 @@ def _layer_backward(
         gU[k] += DZ[k].T @ lt.x
         gW[k] += DZ[k].T @ H_prev
         gb[k] += DZ[k].sum(axis=0)
+    del H_prev
     if not want_dX:
         return None
     U4 = p.U.reshape(4, U, -1)
-    return DZ[0] @ U4[0] + DZ[1] @ U4[1] + DZ[2] @ U4[2] + DZ[3] @ U4[3]
-
-
-def _peephole_grad(DZ: np.ndarray, C_prev: np.ndarray, C: np.ndarray, diag: bool) -> np.ndarray:
-    """The (3, U) or (3, U, U) gradient of the i, f and o peepholes from the
-    gate-major DZ (4, T, U), each step's term added in descending t."""
-    T, U = C.shape
-    if not diag:  # outer products, without a (T, 3, U, U) array of them
-        dP = np.zeros((3, U, U))
-        for t in reversed(range(T)):
-            dP[:2] += DZ[:2, t, :, None] * C_prev[t]
-            dP[2] += DZ[3, t, :, None] * C[t]
-        return dP
-    terms = np.empty((T, 3, U))
-    np.multiply(np.swapaxes(DZ[:2, ::-1], 0, 1), C_prev[::-1, None], out=terms[:, :2])
-    np.multiply(DZ[3, ::-1], C[::-1], out=terms[:, 2])
-    return terms.sum(axis=0)
+    dX = DZ[0] @ U4[0]
+    for k in range(1, 4):
+        dX += DZ[k] @ U4[k]
+    return dX
 
 
 def backward_sequence(

@@ -35,13 +35,6 @@ def check_fields(cfg, minimums: dict) -> None:
             raise ValueError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
 
 
-def as_vec(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"expected a 1-D vector, got shape {v.shape}")
-    return v
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function via the tanh identity, stable for any magnitude:
     exp never overflows and saturation lands exactly on 0.0 / 1.0."""
@@ -52,7 +45,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 def softmax(z: np.ndarray) -> np.ndarray:
     """exp(z - max z) / sum over the last axis; shift-invariant and overflow-safe."""
     z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError(f"softmax input must be finite, got {z}")
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -88,7 +81,9 @@ def finite_diff(f: Callable[[np.ndarray], float], theta: np.ndarray, h: float = 
     """Central-difference gradient of a scalar function, one coordinate at a time."""
     if h <= 0:
         raise ValueError(f"step must be positive, got {h}")
-    theta = as_vec(theta)
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 1:
+        raise ShapeError(f"expected a 1-D vector, got shape {theta.shape}")
     grad = np.empty_like(theta)
     for i in range(theta.shape[0]):
         tp = theta.copy()

@@ -5,6 +5,7 @@ import pytest
 
 from histlstm.cells import HeadParams, head_predict, init_head
 from histlstm.historical import (
+    WINDOW_MODES,
     DegenerateWindowError,
     HistoricalConfig,
     HistoricalTrace,
@@ -15,10 +16,27 @@ from histlstm.historical import (
     initial_trace,
     replay_update,
     step_loss,
+    truncation_states,
     truncation_weights,
+    window_mean,
 )
-from histlstm.network import _historical_backward
+from histlstm.network import _historical_backward, _run_historical, build_network
 from histlstm.numerics import EPS_LOSS_FLOOR, ShapeError, cross_entropy
+
+
+def oracle_truncation(h_buffer, t, cfg):
+    """Step t's truncation state from its definition: every response
+    h_1..h_t with its window weight (zero before the window), summed from +0
+    in index order."""
+    if cfg.window_mode == "literal" and t > cfg.tau:
+        w = [0.0] * cfg.tau + [1.0 / (t - cfg.tau)] * (t - cfg.tau)
+    else:
+        n = min(cfg.tau, t)
+        w = [0.0] * (t - n) + [1.0 / n] * n
+    acc = np.zeros_like(h_buffer[0])
+    for k in range(t):
+        acc += w[k] * h_buffer[k]
+    return acc
 
 
 def oracle_run(h_buffer, cfg, loss_h, loss_l):
@@ -47,15 +65,7 @@ def oracle_run(h_buffer, cfg, loss_h, loss_l):
             l = a * h + (1.0 - a) * l
             branches.append("blend")
         else:
-            if cfg.window_mode == "literal" and t > cfg.tau:
-                w = [0.0] * cfg.tau + [1.0 / (t - cfg.tau)] * (t - cfg.tau)
-            else:
-                n = min(cfg.tau, t)
-                w = [0.0] * (t - n) + [1.0 / n] * n
-            acc = np.zeros_like(l)
-            for k in range(t):
-                acc += w[k] * h_buffer[k]
-            l = acc
+            l = oracle_truncation(h_buffer, t, cfg)
             branches.append("trunc")
         eps_l = loss_l(l)
         history.append(l)
@@ -245,6 +255,20 @@ class TestHistoricalUpdate:
                 pytest.raises(ValueError, match=r"t=2 \(blend branch, alpha=-1\.49"):
             historical_update(trace, np.ones(3), 2.0, cfg, never_called)
 
+    def test_non_finite_truncation_state_names_step_and_branch(self):
+        rng = np.random.default_rng(16)
+        h1, h2 = rng.standard_normal(3), rng.standard_normal(3)
+        trace = initial_trace(h1, lambda v: 2.0)
+        cfg = HistoricalConfig(tau=2)
+
+        def never_called(v):
+            raise AssertionError("a non-finite state must not be rescored")
+
+        # a state formed up front, and one formed from the window here
+        for h, trunc in ((h2, (np.full(3, np.nan), 1.0)), (np.full(3, np.inf), None)):
+            with pytest.raises(ValueError, match=r"t=2 \(trunc branch, alpha=None"):
+                historical_update(trace, h, 0.5, cfg, never_called, trunc)
+
     def test_shape_and_loss_errors(self):
         trace = initial_trace(np.zeros(3), lambda v: 1.0)
         cfg = HistoricalConfig()
@@ -378,6 +402,138 @@ class TestLongHorizon:
                 assert np.all(a >= 0.0)
                 assert abs(a.sum() - 1.0) < 1e-12
                 assert np.max(np.abs(a @ np.stack(hs) - trace.l)) < 1e-12
+
+
+def window_sum(hs, t, cfg):
+    """Step t's truncation state summed over its own window: +0, then each
+    weight of truncation_weights times its response, in ascending order."""
+    degenerate = cfg.window_mode == "literal" and t <= cfg.tau
+    w = truncation_weights(t, cfg.tau, "sliding" if degenerate else cfg.window_mode)
+    acc = np.zeros_like(hs[0])
+    for wk, h in zip(w.tolist(), hs[t - len(w):t]):
+        acc += wk * h
+    return acc
+
+
+class TestTruncationStates:
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("mode", WINDOW_MODES)
+    def test_rows_equal_window_and_oracle_sums_bitwise(self, mode, stacked):
+        # window_mean over each step's window in both modes, and each row of
+        # the sliding truncation_states, against the per-step loop and the
+        # oracle's full-buffer sum; exponents spread over ~16 binades, so a
+        # reordered sum would show
+        for tau in range(1, 8):
+            cfg = HistoricalConfig(tau=tau, window_mode=mode)
+            for T in sorted({1, 2, tau, tau + 1, 30, 480, 1920}):
+                rng = np.random.default_rng([51, tau, T, stacked])
+                shape = (3, T, 4) if stacked else (T, 4)
+                H = rng.standard_normal(shape) * np.exp2(rng.integers(-8, 8, size=shape))
+                S = truncation_states(H, tau)
+                assert S.shape == H.shape
+                hs = list(np.moveaxis(H, -2, 0))
+                rows = range(1, T + 1) if T <= 30 else sorted(
+                    set(range(1, tau + 3)) | {T // 2, T - 1, T}
+                    | set(rng.integers(1, T + 1, size=4).tolist()))
+                for t in rows:
+                    expected = oracle_truncation(hs, t, cfg)
+                    assert np.array_equal(window_sum(hs, t, cfg), expected), (tau, T, t)
+                    n = len(truncation_weights(t, tau, "sliding" if t <= tau else mode))
+                    assert np.array_equal(window_mean(np.array(hs[t - n:t])), expected)
+                    if mode == "sliding":
+                        assert np.array_equal(S[..., t - 1, :], expected), (tau, T, t)
+
+    def test_window_mean_starts_from_positive_zero(self):
+        # +0 + -0 is +0, so a window of negative zeros sums to +0
+        l = window_mean(np.full((3, 2), -0.0))
+        assert np.array_equal(np.signbit(l), [False, False])
+        assert np.array_equal(np.signbit(truncation_states(np.full((4, 2), -0.0), 2)),
+                              np.zeros((4, 2), dtype=bool))
+
+
+class TestBatchedScoring:
+    def test_per_row_scores_equal_step_loss_bitwise(self):
+        # one head call over a (n, 1, U) stack, then cross_entropy with one
+        # label (training) or per-row labels (pseudo-labels), against a
+        # step_loss call per row
+        rows = 0
+        for case in range(1000):
+            rng = np.random.default_rng([53, case])
+            C, U = int(rng.integers(2, 6)), int(rng.integers(1, 33))
+            head = init_head(rng, U, C)
+            head = HeadParams(V=head.V * rng.exponential(2.0), c=rng.standard_normal(C))
+            S = rng.standard_normal((20, U)) * rng.exponential(2.0)
+            ys = rng.integers(C, size=20)
+            probs = head_predict(head, S[:, None, :])[:, 0]
+            for s, p in zip(S, probs):
+                assert np.array_equal(p, head_predict(head, s))
+            assert cross_entropy(probs, ys).tolist() == \
+                [step_loss(head, s, y) for s, y in zip(S, ys.tolist())]
+            y = int(ys[0])
+            assert cross_entropy(probs, y).tolist() == [step_loss(head, s, y) for s in S]
+            rows += len(S)
+        assert rows >= 20000
+
+
+def forward_against_drive(H, cfg, psh, fh, label):
+    """The live forward's recursion (_run_historical of a one-layer network
+    whose per-step and final heads are psh and fh) and drive's, over the
+    responses H (T, U); drive's loss_h reads the forward's eps_h."""
+    net = build_network(np.random.default_rng(0), 1, (H.shape[1],), psh.n_classes,
+                        hist_cfg=cfg)
+    for mine, theirs in ((net.per_step_head, psh), (net.final_head, fh)):
+        mine.V[...], mine.c[...] = theirs.V, theirs.c
+    probs = head_predict(psh, H)
+    forward = _run_historical(net, 0, H, probs, label, None)
+    eps_h = iter(cross_entropy(probs, label).tolist()[1:])
+    driven = drive(list(H), cfg, lambda v: next(eps_h), lambda v: step_loss(fh, v, label))
+    return forward, driven
+
+
+def assert_same_recursion(forward, driven):
+    assert len(forward.records) == len(driven.records)
+    for a, b in zip(forward.records, driven.records):
+        assert (a.branch, a.eps_h, a.eps_l_prev, a.eps_l_new, a.alpha) == \
+            (b.branch, b.eps_h, b.eps_l_prev, b.eps_l_new, b.alpha)
+        assert (a.weights is None) == (b.weights is None)
+        assert a.weights is None or np.array_equal(a.weights, b.weights)
+    assert len(forward.l_history) == len(driven.l_history)
+    for a, b in zip(forward.l_history, driven.l_history):
+        assert np.array_equal(a, b)
+
+
+class TestForwardMatchesDrive:
+    def test_criterion_3_episodes(self):
+        # the 100 episodes of the criterion-3 acceptance test
+        policies = ("literal", "clamped", "inverse_loss")
+        modes = ("sliding", "literal")
+        for ep in range(100):
+            rng = np.random.default_rng([31, ep])
+            T = int(rng.integers(1, 13))
+            dim = int(rng.integers(2, 6))
+            n_classes = int(rng.integers(2, 5))
+            label = int(rng.integers(n_classes))
+            psh = init_head(rng, dim, n_classes)
+            fh = init_head(rng, dim, n_classes)
+            cfg = HistoricalConfig(tau=int(rng.integers(1, 5)),
+                                   window_mode=modes[ep % 2],
+                                   alpha_policy=policies[ep % 3])
+            H = np.stack([rng.standard_normal(dim) * 3 for _ in range(T)])
+            assert_same_recursion(*forward_against_drive(H, cfg, psh, fh, label))
+
+    @pytest.mark.parametrize("T", [200, 480])
+    def test_long_horizon_cases(self, T):
+        # TestLongHorizon's responses and configs, scored by small heads so
+        # the literal alpha keeps l_t finite
+        for mode in WINDOW_MODES:
+            for policy in ("literal", "clamped", "inverse_loss"):
+                hs, cfg, _, _, _ = long_run(T, mode, policy)
+                rng = np.random.default_rng([32, T])
+                psh, fh = (HeadParams(V=0.05 * h.V, c=0.05 * h.c)
+                           for h in (init_head(rng, 3, 3), init_head(rng, 3, 3)))
+                forward, driven = forward_against_drive(np.stack(hs), cfg, psh, fh, 1)
+                assert {"blend", "trunc"} <= {r.branch for r in forward.records}
+                assert_same_recursion(forward, driven)
 
 
 class TestReplay:

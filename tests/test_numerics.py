@@ -187,3 +187,7 @@ class TestFiniteDiff:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             finite_diff(lambda t: 0.0, np.zeros(2), h=0.0)
+
+    def test_rejects_a_non_vector(self):
+        with pytest.raises(ShapeError, match=r"1-D vector, got shape \(2, 2\)"):
+            finite_diff(lambda t: 0.0, np.zeros((2, 2)))
