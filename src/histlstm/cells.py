@@ -2,10 +2,10 @@
 
 Parameters are plain float64 numpy arrays held in dataclasses. Step
 functions are pure: they never mutate their inputs, so one parameter set
-can serve many concurrent sequence evaluations. Every block may carry one
-leading axis K, a stack of K parameter sets; shapes are then read from the
-trailing axes, and the functions here apply set k to row k of a stacked
-state.
+can serve many concurrent sequence evaluations. A head and the arrays that
+matvec and peep_apply take may carry one leading axis K, a stack of K
+parameter sets; shapes are then read from the trailing axes, and set k
+applies to row k of a stacked state.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ class HeadParams:
 
 @dataclass
 class LstmParams:
-    """Peephole LSTM gate parameters.
+    """Peephole LSTM gate parameters of one layer, gate by gate: the form
+    lstm_step reads (the network keeps its layers fused, as GateBlocks).
 
     Peepholes P_i/P_f/P_o are 1-D vectors in "diag" mode (elementwise link
     from the cell state into the gate pre-activations) or 2-D matrices in
@@ -62,18 +63,15 @@ class LstmParams:
     b_o: np.ndarray
 
     def __post_init__(self):
-        *lead, u, d = self.U_i.shape
-        lead = tuple(lead)
+        u, d = self.U_i.shape
         pshape = self.P_i.shape
-        if pshape not in (lead + (u,), lead + (u, u)):
-            raise ShapeError(
-                f"peephole shape {pshape} is neither diag {lead + (u,)} nor full {lead + (u, u)}"
-            )
+        if pshape not in ((u,), (u, u)):
+            raise ShapeError(f"peephole shape {pshape} is neither diag {(u,)} nor full {(u, u)}")
         for names, shape in (
-            (("U_i", "U_f", "U_c", "U_o"), lead + (u, d)),
-            (("W_i", "W_f", "W_c", "W_o"), lead + (u, u)),
+            (("U_i", "U_f", "U_c", "U_o"), (u, d)),
+            (("W_i", "W_f", "W_c", "W_o"), (u, u)),
             (("P_i", "P_f", "P_o"), pshape),
-            (("b_i", "b_f", "b_c", "b_o"), lead + (u,)),
+            (("b_i", "b_f", "b_c", "b_o"), (u,)),
         ):
             for name in names:
                 if getattr(self, name).shape != shape:
@@ -83,15 +81,15 @@ class LstmParams:
 
     @property
     def units(self) -> int:
-        return self.U_i.shape[-2]
+        return self.U_i.shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.U_i.shape[-1]
+        return self.U_i.shape[1]
 
     @property
     def peephole(self) -> str:
-        return "diag" if self.P_i.ndim < self.U_i.ndim else "full"
+        return "diag" if self.P_i.ndim == 1 else "full"
 
 
 @dataclass

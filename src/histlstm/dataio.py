@@ -218,6 +218,8 @@ def load_manifest(path: str) -> Dataset:
         seq.id = rel
         sequences.append(seq)
         fold = _int_field(parts[2], f"{path}:{lineno}", "fold") if len(parts) == 3 else None
+        if fold is not None and fold < 0:
+            raise ValueError(f"{path}:{lineno}: fold must be >= 0, got {fold}")
         folds.append(fold)
         record_lines.append(lineno)
     if n_classes is None:

@@ -33,10 +33,6 @@ INFERENCE_POLICIES = ("pseudo_label", "fixed_blend")
 LossFn = Callable[[np.ndarray], float]
 
 
-class DegenerateWindowError(ValueError):
-    """Literal truncation window is undefined for t <= tau."""
-
-
 @dataclass(frozen=True)
 class HistoricalConfig:
     tau: int = 3
@@ -113,23 +109,17 @@ def truncation_weights(t: int, tau: int, mode: str) -> np.ndarray:
     the historical state at step t; earlier responses have weight zero and
     are neither stored nor read.
 
-    literal: n = t - tau, only defined for t > tau. sliding: n = min(tau, t).
-    Both modes return n uniform weights 1/n.
+    literal: n = t - tau. sliding: n = min(tau, t), which a literal window
+    also takes while it is degenerate (t <= tau). Both modes return n
+    uniform weights 1/n.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    if mode == "literal":
-        if t <= tau:
-            raise DegenerateWindowError(
-                f"literal window undefined for t={t} <= tau={tau}"
-            )
-        n = t - tau
-    elif mode == "sliding":
-        n = min(tau, t)
-    else:
+    if mode not in WINDOW_MODES:
         raise ValueError(f"unknown window mode {mode!r}")
+    n = t - tau if mode == "literal" and t > tau else min(tau, t)
     return np.full(n, 1.0 / n)
 
 
@@ -204,10 +194,9 @@ def historical_update(
 
     Appends h_t to the buffer, takes the blend or truncation branch on the
     loss comparison, re-scores the new state through loss_fn, and returns a
-    new trace. A literal window that is still degenerate (t <= tau) falls
-    back to the sliding rule for that step. The truncation branch takes its
-    (state, loss) from trunc if given. A new state that is not finite (the
-    literal alpha can amplify l without bound) raises ValueError.
+    new trace. The truncation branch takes its (state, loss) from trunc if
+    given. A new state that is not finite (the literal alpha can amplify l
+    without bound) raises ValueError.
     """
     if h_t.shape != trace.l.shape:
         raise ShapeError(f"response {h_t.shape} does not match state {trace.l.shape}")
@@ -219,8 +208,7 @@ def historical_update(
         alpha = compute_alpha(trace.eps_l, eps_h, cfg.alpha_policy)
     else:
         branch, alpha = "trunc", None
-        degenerate = cfg.window_mode == "literal" and t <= cfg.tau
-        w = truncation_weights(t, cfg.tau, "sliding" if degenerate else cfg.window_mode)
+        w = truncation_weights(t, cfg.tau, cfg.window_mode)
     l_new = _next_state(trace, h_t, alpha, None if w is None else len(w),
                         None if trunc is None else trunc[0])
     if not np.isfinite(l_new).all():

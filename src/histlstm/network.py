@@ -20,7 +20,6 @@ import numpy as np
 
 from .cells import (
     HeadParams,
-    LstmParams,
     PEEPHOLE_MODES,
     head_predict,
     init_block,
@@ -135,11 +134,14 @@ class StackedNetwork:
     hist_placement: str
     use_historical: bool
     # Views of theta, cut once at construction.
-    layers: list = field(init=False, repr=False)  # of LstmParams, input side first
-    gates: list = field(init=False, repr=False)  # of GateBlocks, the same layers fused
-    aux_heads: list = field(init=False, repr=False)  # per lower layer, "all" placement only
+    gates: list = field(init=False, repr=False)  # of GateBlocks, input side first
     per_step_head: HeadParams = field(init=False, repr=False)  # scores top-layer responses
     final_head: HeadParams = field(init=False, repr=False)  # scores historical states
+    # The scoring table: the layers with a historical unit, and per layer
+    # (response head, state head, the response head's block prefix), or
+    # None where no head scores that layer's steps.
+    scored: tuple = field(init=False, repr=False)
+    scorers: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.hist_placement not in HIST_PLACEMENTS:
@@ -164,12 +166,17 @@ class StackedNetwork:
         views = self.views(self.theta)
         self._blocks = list(views.items())
         self._l2 = [views[name] for name, *_, l2 in self._cuts if l2]
-        self.layers = [LstmParams(*(views[f"layer{k}.{f}"] for f in LSTM_FIELDS))
-                       for k in range(len(self.layer_units))]
         self.gates = self.gate_blocks(self.theta)
-        heads = [HeadParams(views[name[:-1] + "V"], views[name])
-                 for name in views if name.endswith(".c")]  # aux..., per-step, final
-        self.aux_heads, self.per_step_head, self.final_head = heads[:-2], heads[-2], heads[-1]
+        names = [name[:-2] for name in views if name.endswith(".c")]  # aux..., per-step, final
+        heads = [HeadParams(views[name + ".V"], views[name + ".c"]) for name in names]
+        self.per_step_head, self.final_head = heads[-2:]
+        top = len(self.layer_units) - 1
+        hist_layers = range(top + 1) if self.hist_placement == "all" else [top]
+        self.scored = tuple(hist_layers) if self.use_historical else ()
+        # A lower layer is scored only where it has a historical unit, by aux
+        # head k (heads[k]); the per-step head always scores the top layer.
+        self.scorers = [(heads[k], heads[k], names[k]) if k in self.scored else None
+                        for k in range(top)] + [(self.per_step_head, self.final_head, names[-2])]
 
     @property
     def stack_shape(self) -> tuple:
@@ -273,8 +280,7 @@ class ForwardTrace:
     layers: list  # of LayerTrace
     masks: list  # per layer boundary: (T, U) 0/1 mask, or None
     hists: list  # per layer: HistoricalTrace or None
-    step_probs: np.ndarray  # (T, C) top-layer per-step predictions
-    aux_probs: list  # per layer: (T, C) for scored lower layers, else None
+    probs: list  # per layer: (T, C) per-step predictions where scorers has a head, else None
     final_src: np.ndarray  # the vector the final head saw (l_T or h_T)
     final_probs: np.ndarray  # (C,)
 
@@ -336,21 +342,6 @@ def _layer_forward(p: GateBlocks, X: np.ndarray) -> LayerTrace:
     return LayerTrace(x=X, h=H, c=C, tc=TC, gates=G)
 
 
-def _scored_layers(net: StackedNetwork) -> list:
-    """Indices of layers that maintain a historical state."""
-    if not net.use_historical:
-        return []
-    top = len(net.layers) - 1
-    return list(range(len(net.layers))) if net.hist_placement == "all" else [top]
-
-
-def _scoring_heads(net: StackedNetwork, k: int) -> tuple:
-    """(response scorer, historical-state scorer) for layer k."""
-    if k == len(net.layers) - 1:
-        return net.per_step_head, net.final_head
-    return net.aux_heads[k], net.aux_heads[k]
-
-
 def _run_historical(
     net: StackedNetwork,
     k: int,
@@ -369,7 +360,7 @@ def _run_historical(
     windows' truncation states are formed and scored at the first truncation;
     a literal pass would cost O(T^2), so each literal truncation sums its own.
     """
-    _, l_head = _scoring_heads(net, k)
+    l_head = net.scorers[k][1]
     cfg = net.hist_cfg
     if replay_records is not None:
         steps = np.moveaxis(H, -2, 0)
@@ -442,34 +433,26 @@ def forward_sequence(
     if fresh_masks and rng is None:
         raise ValueError("training-mode forward with dropout needs a generator")
 
-    L = len(net.layers)
+    L = len(net.layer_units)
     T = X.shape[0]
-    scored = set(_scored_layers(net))
     layer_traces: list = []
     masks: list = []
     hists: list = [None] * L
-    aux_probs: list = [None] * L
-    step_probs = None
+    probs: list = [None] * L
 
     cur = X
     for k in range(L):
         lt = _layer_forward(net.gates[k], cur)
         layer_traces.append(lt)
-        top = k == L - 1
-        if top or k in scored:
-            h_head, _ = _scoring_heads(net, k)
-            probs_k = head_predict(h_head, lt.h)
-            if top:
-                step_probs = probs_k
-            else:
-                aux_probs[k] = probs_k
-        if k in scored:
+        if net.scorers[k] is not None:
+            probs[k] = head_predict(net.scorers[k][0], lt.h)
+        if k in net.scored:
             records = replay_from.hists[k].records if replay_from is not None else None
             hists[k] = _run_historical(
-                net, k, lt.h, probs_k, label if training else None, records
+                net, k, lt.h, probs[k], label if training else None, records
             )
-        if not top:
-            upward = np.stack(hists[k].l_history, axis=-2) if k in scored else lt.h
+        if k < L - 1:
+            upward = lt.h if hists[k] is None else np.stack(hists[k].l_history, axis=-2)
             if replay_from is not None:
                 mask = replay_from.masks[k]
             elif fresh_masks:
@@ -491,8 +474,7 @@ def forward_sequence(
         layers=layer_traces,
         masks=masks,
         hists=hists,
-        step_probs=step_probs,
-        aux_probs=aux_probs,
+        probs=probs,
         final_src=final_src,
         final_probs=final_probs,
     )
@@ -512,20 +494,18 @@ def _ce_logit_grad(probs: np.ndarray, label: int) -> np.ndarray:
 
 
 def _aux_streams(trace: ForwardTrace) -> list:
-    """(layer index, per-step probs) pairs entering the auxiliary loss."""
-    streams = [(len(trace.layers) - 1, trace.step_probs)]
-    for k, ap in enumerate(trace.aux_probs):
-        if ap is not None:
-            streams.append((k, ap))
-    return streams
+    """(layer index, per-step probs) pairs entering the auxiliary loss: the
+    top layer first, then the scored lower layers in ascending order."""
+    top = len(trace.probs) - 1
+    return [(k, trace.probs[k]) for k in (top, *range(top)) if trace.probs[k] is not None]
 
 
 def total_loss(
     net: StackedNetwork,
     trace: ForwardTrace,
     label: int,
-    lambda_aux: float = 0.5,
-    l2: float = 0.0,
+    lambda_aux: float,
+    l2: float,
 ):
     """Final cross-entropy + lambda_aux * mean per-step cross-entropy
     + l2 * sum of squared weight-matrix entries (biases, peepholes exempt).
@@ -660,8 +640,8 @@ def backward_sequence(
     net: StackedNetwork,
     trace: ForwardTrace,
     label: int,
-    lambda_aux: float = 0.5,
-    l2: float = 0.0,
+    lambda_aux: float,
+    l2: float,
 ) -> np.ndarray:
     """Gradient of total_loss w.r.t. the parameter vector.
 
@@ -673,14 +653,14 @@ def backward_sequence(
     grad = np.zeros(net.theta.shape)
     grads = net.views(grad)
     gate_grads = net.gate_blocks(grad)
-    L = len(net.layers)
+    L = len(net.layer_units)
     T = trace.T
-    scored = set(_scored_layers(net))
 
-    # Final head.
+    # Final head, whose V and c close the layout.
     dz_final = _ce_logit_grad(trace.final_probs, label)
-    grads["final.V"] += np.outer(dz_final, trace.final_src)
-    grads["final.c"] += dz_final
+    *_, final_V, final_c = grads.values()
+    final_V += np.outer(dz_final, trace.final_src)
+    final_c += dz_final
     d_final_src = net.final_head.V.T @ dz_final
 
     # Per-step scoring heads; each scored stream carries equal weight in the
@@ -690,8 +670,7 @@ def backward_sequence(
     dH_heads = {k: np.zeros_like(trace.layers[k].h) for k, _ in streams}
     if coef != 0.0:
         for k, probs in streams:
-            head, _ = _scoring_heads(net, k)
-            name = "per_step" if k == L - 1 else f"aux{k}"
+            head, _, name = net.scorers[k]
             for t in range(T):
                 dz = coef * _ce_logit_grad(probs[t], label)
                 grads[name + ".V"] += np.outer(dz, trace.layers[k].h[t])
@@ -705,7 +684,7 @@ def backward_sequence(
         top = k == L - 1
         dH = dH_heads.get(k)
         dH = dH.copy() if dH is not None else np.zeros_like(trace.layers[k].h)
-        if k in scored:
+        if k in net.scored:
             dl_in = np.zeros_like(trace.layers[k].h)
             if top:
                 dl_in[T - 1] += d_final_src
@@ -745,7 +724,7 @@ def save_checkpoint(net: StackedNetwork, path: str) -> None:
     if net.stack_shape:
         raise ValueError(f"cannot save a stack of parameter sets (theta {net.theta.shape}): "
                          "a checkpoint holds one")
-    L = len(net.layers)
+    L = len(net.layer_units)
     head = [
         CHECKPOINT_MAGIC,
         struct.pack("<III", CHECKPOINT_VERSION, net.n_classes, net.input_dim),

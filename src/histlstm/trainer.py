@@ -449,11 +449,11 @@ def grad_check(
     n_classes: int = 3,
     lengths: Sequence[int] = (1, 3, 6),
     tau: int = 2,
-    lambda_aux: float = 0.5,
-    l2: float = 0.004,
+    lambda_aux: float = TrainConfig.lambda_aux,
+    l2: float = TrainConfig.l2,
     h: float = 1e-5,
-    hist_placement: str = "top",
-    peephole: str = "diag",
+    hist_placement: str = TrainConfig.hist_placement,
+    peephole: str = TrainConfig.peephole,
     tamper: Optional[dict] = None,
 ) -> GradCheckReport:
     """Finite-difference verification of the analytic gradients.

@@ -282,6 +282,18 @@ class TestExitCodes:
         assert run(["train", "--out", str(tmp_path / "out"), "--manifest", str(manifest)]) == 1
         assert capsys.readouterr().err == f"error: {manifest}: not UTF-8 at byte 10\n"
 
+    def test_cv_negative_manifest_fold_exits_1_naming_file_and_line(self, tmp_path, capsys):
+        # a negative fold used to reach cross_validate, whose fold seed then
+        # failed with a message naming neither the manifest nor the line
+        for i in range(4):
+            write_fseq(str(tmp_path / f"seq{i}.fseq"),
+                       FeatureSequence(frames=np.zeros((3, 2)), label=i % 2))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("classes 2\nseq0.fseq 0 0\nseq1.fseq 1 1\n"
+                            "seq2.fseq 0 0\nseq3.fseq 1 -3\n")
+        assert run(["cv", "--out", str(tmp_path / "out"), "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: {manifest}:5: fold must be >= 0, got -3\n"
+
     def test_eval_dim_mismatch_exits_1(self, tmp_path, capsys):
         assert run(["train", *synth_args(tmp_path)]) == 0
         ckpt = str(tmp_path / "out" / "model.ckpt")

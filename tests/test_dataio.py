@@ -205,6 +205,11 @@ class TestManifest:
         with pytest.raises(ValueError, match=r"manifest\.txt:3: fold 'x'"):
             load_manifest(path)
 
+    def test_negative_fold_names_line(self, tmp_path):
+        path = self.write_corpus(tmp_path, [("a.fseq", 0, 0), ("b.fseq", 1, -3)])
+        with pytest.raises(ValueError, match=r"manifest\.txt:3: fold must be >= 0, got -3$"):
+            load_manifest(path)
+
     def test_missing_file_names_line(self, tmp_path):
         path = self.write_corpus(tmp_path, [("a.fseq", 0)])
         with open(path, "a") as fh:

@@ -6,7 +6,6 @@ import pytest
 from histlstm.cells import HeadParams, head_predict, init_head
 from histlstm.historical import (
     WINDOW_MODES,
-    DegenerateWindowError,
     HistoricalConfig,
     HistoricalTrace,
     StepRecord,
@@ -130,20 +129,19 @@ class TestTruncationWeights:
         for tau in (1, 2, 7):
             assert np.array_equal(truncation_weights(1, tau, "sliding"), [1.0])
 
-    def test_literal_degenerate(self):
-        with pytest.raises(DegenerateWindowError):
-            truncation_weights(3, 3, "literal")
-        with pytest.raises(DegenerateWindowError):
-            truncation_weights(2, 5, "literal")
+    def test_literal_degenerate_is_the_sliding_window(self):
+        for tau in range(1, 8):
+            for t in range(1, tau + 1):
+                w = truncation_weights(t, tau, "literal")
+                assert np.array_equal(w, truncation_weights(t, tau, "sliding")), (t, tau)
+                assert w.shape == (t,)
 
     def test_nonnegative_sum_to_one(self):
         for mode in ("sliding", "literal"):
             for tau in range(1, 7):
                 for t in range(1, 15):
-                    if mode == "literal" and t <= tau:
-                        continue
                     w = truncation_weights(t, tau, mode)
-                    n = t - tau if mode == "literal" else min(tau, t)
+                    n = t - tau if mode == "literal" and t > tau else min(tau, t)
                     assert w.shape == (n,)
                     assert np.all(w > 0.0)
                     assert abs(w.sum() - 1.0) < 1e-12
@@ -407,8 +405,7 @@ class TestLongHorizon:
 def window_sum(hs, t, cfg):
     """Step t's truncation state summed over its own window: +0, then each
     weight of truncation_weights times its response, in ascending order."""
-    degenerate = cfg.window_mode == "literal" and t <= cfg.tau
-    w = truncation_weights(t, cfg.tau, "sliding" if degenerate else cfg.window_mode)
+    w = truncation_weights(t, cfg.tau, cfg.window_mode)
     acc = np.zeros_like(hs[0])
     for wk, h in zip(w.tolist(), hs[t - len(w):t]):
         acc += wk * h
@@ -438,7 +435,7 @@ class TestTruncationStates:
                 for t in rows:
                     expected = oracle_truncation(hs, t, cfg)
                     assert np.array_equal(window_sum(hs, t, cfg), expected), (tau, T, t)
-                    n = len(truncation_weights(t, tau, "sliding" if t <= tau else mode))
+                    n = len(truncation_weights(t, tau, mode))
                     assert np.array_equal(window_mean(np.array(hs[t - n:t])), expected)
                     if mode == "sliding":
                         assert np.array_equal(S[..., t - 1, :], expected), (tau, T, t)

@@ -7,7 +7,14 @@ import struct
 import numpy as np
 import pytest
 
-from histlstm.cells import PEEPHOLE_MODES, LstmState, head_predict, lstm_step, matvec, peep_apply
+from histlstm.cells import (
+    PEEPHOLE_MODES,
+    LstmParams,
+    LstmState,
+    head_predict,
+    lstm_step,
+    peep_apply,
+)
 from dataclasses import replace
 
 from histlstm import historical
@@ -21,6 +28,7 @@ from histlstm.historical import (
 from histlstm.network import (
     HIST_PLACEMENTS,
     LSTM_FIELDS,
+    _aux_streams,
     _layer_backward,
     _layer_forward,
     backward_sequence,
@@ -53,12 +61,20 @@ def tiny_net(seed=0, units=(3, 3), input_dim=2, n_classes=3, dropout=0.0,
     )
 
 
+def lstm_params(net, k, theta=None):
+    """Layer k's per-gate LstmParams, the lstm_step oracle's form: views of
+    theta (P,), by default the network's own."""
+    views = net.views(net.theta if theta is None else theta)
+    return LstmParams(*(views[f"layer{k}.{f}"] for f in LSTM_FIELDS))
+
+
 def straight_line_training(net, X, label):
     """Independent composition of the primitive steps, no batching tricks."""
     T = X.shape[0]
     cur = X
     layer_h, layer_c = [], []
-    for p in net.layers:
+    for k in range(len(net.layer_units)):
+        p = lstm_params(net, k)
         state = LstmState.zero(p.units)
         hs, cs = [], []
         for t in range(T):
@@ -107,7 +123,7 @@ class TestForwardSequence:
         for k in range(2):
             assert np.allclose(trace.layers[k].h, layer_h[k], atol=1e-12)
             assert np.allclose(trace.layers[k].c, layer_c[k], atol=1e-12)
-        assert np.allclose(trace.step_probs, probs, atol=1e-12)
+        assert np.allclose(trace.probs[-1], probs, atol=1e-12)
         assert [r.branch for r in trace.hists[-1].records] == \
             [r.branch for r in hist.records]
         assert np.allclose(trace.hists[-1].l, hist.l, atol=1e-12)
@@ -120,7 +136,7 @@ class TestForwardSequence:
             net = tiny_net(seed=7, units=(3,), cfg=cfg)
             X = np.random.default_rng(8).standard_normal((4, 2))
             trace = forward_sequence(net, X, training=False)
-            p = net.layers[0]
+            p = lstm_params(net, 0)
             state = LstmState.zero(3)
             H = []
             for t in range(4):
@@ -153,7 +169,7 @@ class TestForwardSequence:
     @pytest.mark.parametrize("placement", HIST_PLACEMENTS)
     def test_eval_steps_share_one_pseudo_label(self, placement):
         # eps_h and the rescored eps_l of step t both score against
-        # y_t = argmax(step_probs[t]), bit for bit, on every scored layer
+        # y_t = argmax(probs[k][t]), bit for bit, on every scored layer k
         net = tiny_net(seed=20, units=(16, 16), n_classes=4, placement=placement)
         for trial in range(8):
             X = np.random.default_rng([21, trial]).standard_normal((12, 2)) * 2
@@ -161,9 +177,7 @@ class TestForwardSequence:
             for k, hist in enumerate(trace.hists):
                 if hist is None:
                     continue
-                top = k == len(net.layers) - 1
-                probs = trace.step_probs if top else trace.aux_probs[k]
-                l_head = net.final_head if top else net.aux_heads[k]
+                probs, l_head = trace.probs[k], net.scorers[k][1]
                 ys = [int(np.argmax(p)) for p in probs]
                 assert hist.records[0].eps_l_new == step_loss(l_head, hist.l_history[0], ys[0])
                 for t in range(1, 12):
@@ -186,8 +200,7 @@ class TestForwardSequence:
         budget = 0
         for k, hist in enumerate(trace.hists):
             if hist is not None:
-                probs = trace.step_probs if k == len(net.layers) - 1 else trace.aux_probs[k]
-                ys = np.argmax(probs, axis=1)
+                ys = np.argmax(trace.probs[k], axis=1)
                 budget += 15 + int(np.count_nonzero(ys[1:] != ys[:-1]))
         assert 0 < len(calls) <= budget
 
@@ -199,7 +212,7 @@ class TestForwardSequence:
         b = forward_sequence(net, X, label=2, training=True,
                              rng=np.random.default_rng(42))
         assert np.array_equal(a.final_probs, b.final_probs)
-        assert np.array_equal(a.step_probs, b.step_probs)
+        assert np.array_equal(a.probs[-1], b.probs[-1])
         for ma, mb in zip(a.masks, b.masks):
             assert np.array_equal(ma, mb)
         # inverted dropout: the next layer sees upward * mask / (1 - p)
@@ -271,6 +284,46 @@ class TestForwardSequence:
             assert np.array_equal(trace.final_src, trace.layers[-1].h[0])
             assert all(r.branch in ("init", "blend")
                        for r in trace.hists[-1].records)
+
+
+class TestScoringTable:
+    @pytest.mark.parametrize("use_historical", [True, False])
+    @pytest.mark.parametrize("placement", HIST_PLACEMENTS)
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_which_heads_score_which_layers_in_loss_order(self, L, placement, use_historical):
+        net = tiny_net(seed=24, units=(3, 4, 2)[:L], placement=placement,
+                       use_historical=use_historical)
+        top = L - 1
+        scored = (() if not use_historical
+                  else tuple(range(L)) if placement == "all" else (top,))
+        assert net.scored == scored
+        views = net.views(net.theta)
+        for k, entry in enumerate(net.scorers):
+            if k == top:
+                head, state_head, name = entry
+                assert head is net.per_step_head and state_head is net.final_head
+                assert name == "per_step"
+            elif k in scored:  # aux head k scores the responses and the states
+                head, state_head, name = entry
+                assert head is state_head and name == f"aux{k}"
+                assert np.shares_memory(head.V, views[name + ".V"])
+                assert np.shares_memory(head.c, views[name + ".c"])
+            else:
+                assert entry is None
+        X = np.random.default_rng(25).standard_normal((5, 2))
+        trace = forward_sequence(net, X, label=1, training=True)
+        for k, probs in enumerate(trace.probs):
+            assert (probs is None) == (net.scorers[k] is None)
+            assert (trace.hists[k] is None) == (k not in scored)
+            if probs is not None:
+                assert np.array_equal(probs, head_predict(net.scorers[k][0], trace.layers[k].h))
+        # the auxiliary loss sums the top layer first, then the lower ones upward
+        assert [k for k, _ in _aux_streams(trace)] == [top] + [k for k in scored if k < top]
+        grads = net.views(backward_sequence(net, trace, 1, lambda_aux=0.5, l2=0.004))
+        for k in range(top):
+            if f"aux{k}.V" in views and net.scorers[k] is None:  # "all" without history
+                assert np.array_equal(grads[f"aux{k}.V"], 2.0 * 0.004 * views[f"aux{k}.V"])
+                assert not grads[f"aux{k}.c"].any()
 
 
 class TestTotalLoss:
@@ -409,7 +462,7 @@ class TestCheckpoint:
         assert back.hist_placement == net.hist_placement
         assert back.use_historical == net.use_historical
         assert back.dropout_p == net.dropout_p
-        assert back.layers[0].peephole == net.layers[0].peephole
+        assert back.peephole == net.peephole
         for (na, a), (nb, b) in zip(net.param_blocks(), back.param_blocks()):
             assert na == nb
             assert np.array_equal(a, b)
@@ -605,7 +658,7 @@ class TestNetworkShape:
 
     def test_blocks_are_views_of_one_vector(self):
         net = tiny_net(seed=41, units=(3, 4), placement="all")
-        blocks = [p.U_i for p in net.layers] + [h.V for h in net.aux_heads]
+        blocks = [g.U for g in net.gates] + [head.V for head, _, _ in net.scorers]
         blocks += [arr for _, arr in net.param_blocks()]
         assert all(np.shares_memory(arr, net.theta) for arr in blocks)
         probes = np.tile(net.theta, (4, 1))
@@ -619,8 +672,8 @@ class TestNetworkShape:
     def test_clone_is_deep(self):
         net = tiny_net(seed=42)
         twin = net.clone()
-        twin.layers[0].U_i[:] += 1.0
-        assert not np.array_equal(net.layers[0].U_i, twin.layers[0].U_i)
+        twin.gates[0].U[:] += 1.0
+        assert not np.array_equal(net.gates[0].U, twin.gates[0].U)
 
     def test_validation(self):
         # blocks cut from one vector by the layout cannot disagree on shapes;
@@ -666,7 +719,10 @@ class TestStackedNetwork:
                 ref = forward_sequence(one, X, label=1, training=True, replay_from=trace)
                 assert abs(losses[k] - total_loss(one, ref, 1, 0.5, 0.004)) < 1e-12
                 assert np.allclose(replayed.final_probs[k], ref.final_probs, rtol=0, atol=1e-12)
-                assert np.allclose(replayed.step_probs[k], ref.step_probs, rtol=0, atol=1e-12)
+                for probs, want in zip(replayed.probs, ref.probs):
+                    assert (probs is None) == (want is None)
+                    if want is not None:
+                        assert np.allclose(probs[k], want, rtol=0, atol=1e-12)
             # one vector (P,) views the same parameters as set_flat writes
             assert total_loss(one.with_params(theta), ref, 1, 0.5, 0.004) == total_loss(
                 one, ref, 1, 0.5, 0.004)
@@ -688,30 +744,22 @@ class TestStackedNetwork:
 def per_gate_forward(p, X):
     """The layer loop before the gates were fused, one matvec, peephole and
     sigmoid per gate: the bitwise reference for _layer_forward."""
-    T = X.shape[-2]
-    stacked = p.U_i.ndim == 3
-    zx_i = X @ np.swapaxes(p.U_i, -1, -2) + p.b_i[..., None, :]
-    zx_f = X @ np.swapaxes(p.U_f, -1, -2) + p.b_f[..., None, :]
-    zx_c = X @ np.swapaxes(p.U_c, -1, -2) + p.b_c[..., None, :]
-    zx_o = X @ np.swapaxes(p.U_o, -1, -2) + p.b_o[..., None, :]
-    if stacked:
-        zx_i, zx_f, zx_c, zx_o = (np.moveaxis(z, 1, 0) for z in (zx_i, zx_f, zx_c, zx_o))
-    shape = zx_i.shape
-    H, C, TC, I, F, G, O = (np.empty(shape) for _ in range(7))
-    h = np.zeros(shape[1:])
-    c = np.zeros(shape[1:])
-    mv = matvec if stacked else (lambda M, v: M @ v)
-    for t in range(T):
-        i = sigmoid(zx_i[t] + mv(p.W_i, h) + peep_apply(p.P_i, c))
-        f = sigmoid(zx_f[t] + mv(p.W_f, h) + peep_apply(p.P_f, c))
-        g = np.tanh(zx_c[t] + mv(p.W_c, h))
+    zx_i = X @ p.U_i.T + p.b_i
+    zx_f = X @ p.U_f.T + p.b_f
+    zx_c = X @ p.U_c.T + p.b_c
+    zx_o = X @ p.U_o.T + p.b_o
+    H, C, TC, I, F, G, O = (np.empty(zx_i.shape) for _ in range(7))
+    h = np.zeros(p.units)
+    c = np.zeros(p.units)
+    for t in range(len(X)):
+        i = sigmoid(zx_i[t] + p.W_i @ h + peep_apply(p.P_i, c))
+        f = sigmoid(zx_f[t] + p.W_f @ h + peep_apply(p.P_f, c))
+        g = np.tanh(zx_c[t] + p.W_c @ h)
         c = f * c + i * g
-        o = sigmoid(zx_o[t] + mv(p.W_o, h) + peep_apply(p.P_o, c))
+        o = sigmoid(zx_o[t] + p.W_o @ h + peep_apply(p.P_o, c))
         tc = np.tanh(c)
         h = o * tc
         H[t], I[t], F[t], G[t], O[t], C[t], TC[t] = h, i, f, g, o, c, tc
-    if stacked:
-        return np.moveaxis(H, 0, 1)
     return H, C, TC, I, F, G, O
 
 
@@ -781,14 +829,15 @@ class TestFusedGates:
         for T in (1, 6, 30, 480, 1920):
             X = rng.standard_normal((T, self.D))
             lt = _layer_forward(net.gates[0], X)
-            H, C, TC, I, F, G, O = per_gate_forward(net.layers[0], X)
+            p = lstm_params(net, 0)
+            H, C, TC, I, F, G, O = per_gate_forward(p, X)
             assert np.array_equal(lt.h, H) and np.array_equal(lt.c, C)
             assert np.array_equal(lt.tc, TC)
             assert np.array_equal(lt.gates, np.stack([I, F, G, O], axis=1))
             dH = rng.standard_normal((T, units))
             grad = np.zeros(net.theta.size)
             dX = _layer_backward(net.gates[0], lt, dH, net.gate_blocks(grad)[0], True)
-            want, want_dX = per_gate_backward(net.layers[0], X, H, C, TC, I, F, G, O, dH)
+            want, want_dX = per_gate_backward(p, X, H, C, TC, I, F, G, O, dH)
             views = net.views(grad)
             for name in LSTM_FIELDS:
                 assert np.array_equal(views["layer0." + name], want[name]), (T, name)
@@ -807,12 +856,15 @@ class TestFusedGates:
             for X in (rng.standard_normal((T, self.D)), rng.standard_normal((4, T, self.D))):
                 lt = _layer_forward(stack.gates[0], X)
                 assert (lt.c, lt.tc, lt.gates) == (None,) * 3
-                assert np.array_equal(lt.h, per_gate_forward(stack.layers[0], X)), T
+                for k, theta in enumerate(stack.theta):  # row k: set k's own per-gate loop
+                    want, *_ = per_gate_forward(lstm_params(net, 0, theta), X[k] if X.ndim == 3 else X)
+                    assert np.array_equal(lt.h[k], want), (T, k)
 
     def test_gate_blocks_are_the_named_blocks_side_by_side(self):
         for peephole in PEEPHOLE_MODES:
             net = tiny_net(seed=80, units=(3, 4), placement="all", peephole=peephole)
-            for p, g in zip(net.layers, net.gates):
+            for k, g in enumerate(net.gates):
+                p = lstm_params(net, k)
                 assert all(np.shares_memory(a, net.theta) for a in g)
                 assert np.array_equal(g.U, np.concatenate([p.U_i, p.U_f, p.U_c, p.U_o]))
                 assert np.array_equal(g.W, np.concatenate([p.W_i, p.W_f, p.W_c, p.W_o]))
