@@ -4,7 +4,9 @@
         --scratch /tmp/pairs --tag gradcheck
 
 Exports the base commit with `git archive` into a fresh directory under
---scratch, and runs the change from this checkout's working tree. For each seed
+--scratch, and the change next to it: this checkout's tracked files as they
+stand (uncommitted edits included) and its untracked files that are not
+ignored. Both sides so run from the same kind of tree. For each seed
 it runs `perfbench/run.py --workload W --seed S --seconds N --trace 0` once
 in each tree, alternating which side runs first, so slow minutes on a
 shared host fall on both sides alike. Seeds 1-20 were used while the
@@ -30,6 +32,7 @@ import argparse
 import io
 import json
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -63,6 +66,19 @@ def export(rev: str, dest: Path) -> Path:
     dest.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
         tar.extractall(dest)
+    return dest
+
+
+def export_worktree(dest: Path) -> Path:
+    """The working tree's tracked files as they stand and its untracked files
+    that are not ignored, copied into dest."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
+    dest.mkdir(parents=True)
+    for name in filter(None, names):
+        src = ROOT / name
+        if src.exists() or src.is_symlink():  # a tracked file deleted in the tree is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name, follow_symlinks=False)
     return dest
 
 
@@ -146,8 +162,10 @@ def main(argv=None) -> int:
 
     scratch = Path(args.scratch or tempfile.mkdtemp(prefix="histlstm-pairs-"))
     base_commit = git("rev-parse", args.base)
+    change = {"commit": git("rev-parse", "HEAD"),
+              "uncommitted_changes": bool(git("status", "--porcelain"))}
     sides = {"base": export(base_commit, scratch / f"base-{base_commit[:12]}"),
-             "change": ROOT}
+             "change": export_worktree(scratch / f"change-{change['commit'][:12]}")}
 
     spec = json.loads((sides["base"] / "BENCHMARK.json").read_text())
     pairs = []
@@ -170,8 +188,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "seeds": args.seeds,
         "base": {"commit": base_commit},
-        "change": {"commit": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain"))},
+        "change": change,
         "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
         "machine": {
             "platform": platform.platform(),

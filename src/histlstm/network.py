@@ -289,14 +289,6 @@ class ForwardTrace:
         return self.layers[0].h.shape[-2]
 
 
-def _frames_of(x) -> np.ndarray:
-    frames = getattr(x, "frames", x)
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[0] < 1:
-        raise ShapeError(f"a sequence must be a (T, D) array with T >= 1, got {frames.shape}")
-    return frames
-
-
 def _layer_forward(p: GateBlocks, X: np.ndarray) -> LayerTrace:
     """One layer over X (T, D), each step's four gates as one (4, U) block;
     with stacked parameters (leading axis K), X is (T, D) shared by every set
@@ -416,11 +408,11 @@ def forward_sequence(
     K parameter sets at once, with the leading axis K on every array of the
     returned trace.
     """
-    X = _frames_of(x)
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise ShapeError(f"a sequence must be a (T, D) array with T >= 1, got {X.shape}")
     if net.stack_shape and replay_from is None:
         raise ValueError("a stacked network runs only replayed passes")
-    if label is None:
-        label = getattr(x, "label", None)
     if X.shape[1] != net.input_dim:
         raise ShapeError(
             f"sequence has feature dim {X.shape[1]}, network expects {net.input_dim}"
@@ -481,15 +473,15 @@ def forward_sequence(
 
 
 def _ce_logit_grad(probs: np.ndarray, label: int) -> np.ndarray:
-    """Gradient of the floored cross-entropy w.r.t. softmax logits.
+    """Gradient of the floored cross-entropy w.r.t. softmax logits, for one
+    prediction (C,) or each row of a stack (T, C).
 
     Zero inside the floored region (the prediction is already essentially
     perfect there), probs - onehot otherwise.
     """
-    if -float(np.log(probs[label])) <= EPS_LOSS_FLOOR:
-        return np.zeros_like(probs)
     g = probs.copy()
-    g[label] -= 1.0
+    g[..., label] -= 1.0
+    g[-np.log(probs[..., label]) <= EPS_LOSS_FLOOR] = 0.0
     return g
 
 
@@ -653,56 +645,39 @@ def backward_sequence(
     grad = np.zeros(net.theta.shape)
     grads = net.views(grad)
     gate_grads = net.gate_blocks(grad)
-    L = len(net.layer_units)
     T = trace.T
 
-    # Final head, whose V and c close the layout.
+    # Final head, whose V and c close the layout. d_out is the gradient on
+    # the sequence layer k passes on: l_1..l_T if it is scored, else
+    # h_1..h_T. The final head seeds the top layer's at step T.
     dz_final = _ce_logit_grad(trace.final_probs, label)
     *_, final_V, final_c = grads.values()
     final_V += np.outer(dz_final, trace.final_src)
     final_c += dz_final
-    d_final_src = net.final_head.V.T @ dz_final
+    d_out = np.zeros_like(trace.layers[-1].h)
+    d_out[T - 1] = net.final_head.V.T @ dz_final
 
-    # Per-step scoring heads; each scored stream carries equal weight in the
-    # auxiliary mean.
-    streams = _aux_streams(trace)
-    coef = lambda_aux / (len(streams) * T) if lambda_aux != 0.0 else 0.0
-    dH_heads = {k: np.zeros_like(trace.layers[k].h) for k, _ in streams}
-    if coef != 0.0:
-        for k, probs in streams:
+    # Each scored stream carries equal weight in the auxiliary mean.
+    streams = dict(_aux_streams(trace))
+    coef = lambda_aux / (len(streams) * T)
+
+    # Layers, top down.
+    for k in reversed(range(len(net.layer_units))):
+        lt = trace.layers[k]
+        dH = _historical_backward(trace.hists[k].records, d_out) if k in net.scored else d_out
+        if coef != 0.0 and k in streams:
             head, _, name = net.scorers[k]
-            for t in range(T):
-                dz = coef * _ce_logit_grad(probs[t], label)
-                grads[name + ".V"] += np.outer(dz, trace.layers[k].h[t])
-                grads[name + ".c"] += dz
-                dH_heads[k][t] += head.V.T @ dz
-
-    # Layers, top down. d_from_above is the gradient w.r.t. the value layer
-    # k passed upward (dropout already unwound).
-    d_from_above: Optional[np.ndarray] = None
-    for k in reversed(range(L)):
-        top = k == L - 1
-        dH = dH_heads.get(k)
-        dH = dH.copy() if dH is not None else np.zeros_like(trace.layers[k].h)
-        if k in net.scored:
-            dl_in = np.zeros_like(trace.layers[k].h)
-            if top:
-                dl_in[T - 1] += d_final_src
-            else:
-                dl_in += d_from_above
-            dH += _historical_backward(trace.hists[k].records, dl_in)
-        else:
-            if top:
-                dH[T - 1] += d_final_src
-            else:
-                dH += d_from_above
-        dX = _layer_backward(net.gates[k], trace.layers[k], dH, gate_grads[k], k > 0)
+            # The bits of a loop over t: V and c terms added in ascending t,
+            # and one (C,) @ (C, U) product per row; a DZ.T @ H product
+            # sums in another order.
+            DZ = coef * _ce_logit_grad(streams[k], label)
+            grads[name + ".V"] += np.add.reduce(DZ[:, :, None] * lt.h[:, None, :], axis=0)
+            grads[name + ".c"] += np.add.reduce(DZ, axis=0)
+            dH = dH + (DZ[:, None, :] @ head.V)[:, 0]
+        dX = _layer_backward(net.gates[k], lt, dH, gate_grads[k], k > 0)
         if k > 0:
             mask = trace.masks[k - 1]
-            if mask is None:
-                d_from_above = dX
-            else:
-                d_from_above = dX * mask / (1.0 - net.dropout_p)
+            d_out = dX if mask is None else dX * mask / (1.0 - net.dropout_p)
 
     if l2 != 0.0:
         for (name, arr), (*_, in_l2) in zip(net.param_blocks(), net._cuts):

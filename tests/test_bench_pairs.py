@@ -1,6 +1,7 @@
 """bench/pairs.py's verdicts on synthetic base/change pairs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,27 @@ def test_outputs_identical_needs_equal_digests_in_every_pair():
     assert not pairs.outputs_identical(moved)
     extra = same + [{"base": {"digests": ["f"]}, "change": {"digests": ["f", "g"]}}]
     assert not pairs.outputs_identical(extra)
+
+
+def test_change_side_export_holds_uncommitted_edits_and_untracked_files(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "a.py").write_text("x = 1\n")
+    (repo / "gone.py").write_text("y = 2\n")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git[:3] + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "one"], check=True)
+    (repo / "src" / "a.py").write_text("x = 2\n")  # uncommitted edit
+    (repo / "src" / "new.py").write_text("z = 3\n")  # untracked, not ignored
+    (repo / "ignored.txt").write_text("left out\n")
+    (repo / "gone.py").unlink()  # tracked, deleted in the tree
+    monkeypatch.setattr(pairs, "ROOT", repo)
+    dest = pairs.export_worktree(tmp_path / "out" / "change")
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "src/a.py", "src/new.py"]
+    assert (dest / "src" / "a.py").read_text() == "x = 2\n"
+    assert (dest / "src" / "new.py").read_text() == "z = 3\n"
+    base = pairs.export("HEAD", tmp_path / "out" / "base")
+    assert (base / "src" / "a.py").read_text() == "x = 1\n" and (base / "gone.py").exists()

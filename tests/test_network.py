@@ -19,7 +19,9 @@ from dataclasses import replace
 
 from histlstm import historical
 from histlstm.historical import (
+    ALPHA_POLICIES,
     INFERENCE_POLICIES,
+    WINDOW_MODES,
     HistoricalConfig,
     historical_update,
     initial_trace,
@@ -29,6 +31,8 @@ from histlstm.network import (
     HIST_PLACEMENTS,
     LSTM_FIELDS,
     _aux_streams,
+    _ce_logit_grad,
+    _historical_backward,
     _layer_backward,
     _layer_forward,
     backward_sequence,
@@ -363,7 +367,99 @@ class TestTotalLoss:
         assert not is_weight_matrix("final.c")
 
 
+def ce_logit_grad_one(probs, label):
+    """The floored cross-entropy's logit gradient for one prediction (C,)."""
+    if -float(np.log(probs[label])) <= EPS_LOSS_FLOOR:
+        return np.zeros_like(probs)
+    g = probs.copy()
+    g[label] -= 1.0
+    return g
+
+
+def per_step_backward(net, trace, label, lambda_aux, l2):
+    """Reference backward: each scoring head's gradient taken one step at a
+    time, in ascending t, and every layer's outside gradient built from a
+    zero array."""
+    grad = np.zeros(net.theta.shape)
+    grads = net.views(grad)
+    gate_grads = net.gate_blocks(grad)
+    L, T = len(net.layer_units), trace.T
+    dz_final = ce_logit_grad_one(trace.final_probs, label)
+    grads["final.V"] += np.outer(dz_final, trace.final_src)
+    grads["final.c"] += dz_final
+    d_final_src = net.final_head.V.T @ dz_final
+    streams = _aux_streams(trace)
+    coef = lambda_aux / (len(streams) * T) if lambda_aux != 0.0 else 0.0
+    dH_heads = {k: np.zeros_like(trace.layers[k].h) for k, _ in streams}
+    if coef != 0.0:
+        for k, probs in streams:
+            head, _, name = net.scorers[k]
+            for t in range(T):
+                dz = coef * ce_logit_grad_one(probs[t], label)
+                grads[name + ".V"] += np.outer(dz, trace.layers[k].h[t])
+                grads[name + ".c"] += dz
+                dH_heads[k][t] += head.V.T @ dz
+    d_from_above = None
+    for k in reversed(range(L)):
+        top = k == L - 1
+        dH = dH_heads[k].copy() if k in dH_heads else np.zeros_like(trace.layers[k].h)
+        d_in = np.zeros_like(trace.layers[k].h)
+        if top:
+            d_in[T - 1] += d_final_src
+        else:
+            d_in += d_from_above
+        dH += _historical_backward(trace.hists[k].records, d_in) if k in net.scored else d_in
+        dX = _layer_backward(net.gates[k], trace.layers[k], dH, gate_grads[k], k > 0)
+        if k > 0:
+            mask = trace.masks[k - 1]
+            d_from_above = dX if mask is None else dX * mask / (1.0 - net.dropout_p)
+    for name, arr in net.param_blocks():
+        if is_weight_matrix(name):
+            grads[name] += 2.0 * l2 * arr
+    return grad
+
+
 class TestBackwardSequence:
+    @pytest.mark.parametrize("placement", HIST_PLACEMENTS)
+    @pytest.mark.parametrize("peephole", PEEPHOLE_MODES)
+    @pytest.mark.parametrize("window_mode", WINDOW_MODES)
+    @pytest.mark.parametrize("alpha_policy", ALPHA_POLICIES)
+    def test_bits_equal_the_per_step_head_loop(self, placement, peephole, window_mode,
+                                               alpha_policy):
+        cfg = HistoricalConfig(tau=3, window_mode=window_mode, alpha_policy=alpha_policy)
+        X = np.random.default_rng(41).standard_normal((12, 2))
+        # A head bias of 14.5 on the label puts some steps in the floored region.
+        for boost, lambda_aux in [(0.0, 0.0), (0.0, 1.0), (14.5, 1.0)]:
+            net = tiny_net(seed=40, units=(3, 4, 3), dropout=0.3, placement=placement,
+                           peephole=peephole, cfg=cfg)
+            for name, arr in net.param_blocks():
+                if name.endswith(".c") and name != "final.c":
+                    arr[1] += boost
+            trace = forward_sequence(net, X, label=1, training=True,
+                                     rng=np.random.default_rng(42))
+            assert any(m is not None and not m.all() for m in trace.masks)
+            got = backward_sequence(net, trace, 1, lambda_aux, l2=0.004)
+            want = per_step_backward(net, trace, 1, lambda_aux, l2=0.004)
+            assert got.tobytes() == want.tobytes()
+
+    def test_logit_grad_of_a_stack_is_its_rows(self):
+        probs = np.array([
+            [0.2, 0.5, 0.3],
+            [1e-8, 1.0 - 2e-8, 1e-8],  # -ln p[1] = 2e-8: inside the floor
+            [0.7, 0.1, 0.2],
+            [0.0, 1.0, 0.0],  # -ln p[1] = 0
+        ])
+        assert -np.log(probs[1, 1]) <= EPS_LOSS_FLOOR
+        G = _ce_logit_grad(probs, 1)
+        onehot = np.array([0.0, 1.0, 0.0])
+        for t in (0, 2):
+            assert np.array_equal(G[t], probs[t] - onehot)
+        for t in (1, 3):
+            assert np.array_equal(G[t], np.zeros(3)) and not np.signbit(G[t]).any()
+        rows = np.stack([_ce_logit_grad(p, 1) for p in probs])
+        assert G.tobytes() == rows.tobytes()
+        assert G.tobytes() == np.stack([ce_logit_grad_one(p, 1) for p in probs]).tobytes()
+
     def test_l2_only_gradient(self):
         net = tiny_net(seed=26)
         X = np.random.default_rng(27).standard_normal((3, 2))
