@@ -12,14 +12,14 @@ import io
 import os
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
 from .numerics import ShapeError, check_fields
 
 FSEQ_MAGIC = b"FSEQ1"
-_HEADER = struct.Struct("<III")  # T, D, label
+FSEQ_PREFIX = "seq"  # write_manifest names its files seq0.fseq, seq1.fseq, ...
 
 
 @dataclass(eq=False)
@@ -100,48 +100,80 @@ class Dataset:
         return np.array([s.label for s in self.sequences], dtype=np.int64)
 
 
+class BinaryReader:
+    """A binary file read whole and taken field by field from the front:
+    the one parser of FSEQ files and checkpoints. Every error is one
+    ValueError, `<path>: byte N: <what>`, where N is the start of the
+    offending field, the end of the file for truncation, or the first
+    extra byte."""
+
+    def __init__(self, path: str, magic: bytes):
+        self.path = path
+        with open(path, "rb") as fh:
+            self.raw = fh.read()
+        self.at = self.pos = 0  # start of the field last taken; the cursor
+        if self.raw[:len(magic)] != magic:
+            self.fail(f"bad magic {self.raw[:len(magic)]!r}, expected {magic!r}")
+        self.pos = len(magic)
+
+    def fail(self, what: str, at: Optional[int] = None) -> NoReturn:
+        raise ValueError(f"{self.path}: byte {self.at if at is None else at}: {what}")
+
+    def _end(self, size: int, what: str) -> int:
+        end = self.pos + size
+        if end > len(self.raw):
+            self.fail(f"truncated: {what} would end at byte {end}", len(self.raw))
+        return end
+
+    def take(self, fmt: str, what: str):
+        """The one value of the little-endian struct format fmt at the cursor,
+        which moves past it; `at` keeps where it starts."""
+        self.at, self.pos = self.pos, self._end(struct.calcsize("<" + fmt), what)
+        return struct.unpack_from("<" + fmt, self.raw, self.at)[0]
+
+    def count(self, what: str) -> int:
+        """A u32 that must be at least 1."""
+        value = self.take("I", what)
+        if value < 1:
+            self.fail(f"{what} must be >= 1, got {value}")
+        return value
+
+    def floats(self, dtype: str, n: int, what: str) -> np.ndarray:
+        """The rest of the file: n values of dtype, widened to a new float64
+        array; the size is checked against the file before it is read."""
+        end = self._end(np.dtype(dtype).itemsize * n, f"the {n} {what} the header declares")
+        if end < len(self.raw):
+            self.fail(f"{len(self.raw) - end} trailing bytes", end)
+        return np.frombuffer(self.raw, dtype=dtype, count=n, offset=self.pos).astype(np.float64)
+
+
+def write_binary(path: str, magic: bytes, fields: Sequence[tuple], payload: np.ndarray) -> None:
+    """What BinaryReader reads: magic, each (name, struct format, value) of
+    fields little-endian, then payload's bytes. A value its field cannot
+    hold is a ValueError naming the field, raised before the file opens."""
+    head = [magic]
+    for name, fmt, value in fields:
+        try:
+            head.append(struct.pack("<" + fmt, value))
+        except struct.error:
+            raise ValueError(f"{path}: {name} {value!r} does not fit its {fmt!r} field") from None
+    with open(path, "wb") as fh:
+        fh.write(b"".join(head))
+        fh.write(payload.tobytes())
+
+
 def write_fseq(path: str, seq: FeatureSequence) -> None:
     """Layout: magic "FSEQ1"; T, D, label as unsigned 32-bit little-endian;
     then T*D 32-bit little-endian reals, row-major."""
-    if seq.label > 0xFFFFFFFF or seq.T > 0xFFFFFFFF or seq.dim > 0xFFFFFFFF:
-        raise ValueError("sequence does not fit 32-bit header fields")
-    with open(path, "wb") as fh:
-        fh.write(FSEQ_MAGIC)
-        fh.write(_HEADER.pack(seq.T, seq.dim, seq.label))
-        fh.write(np.ascontiguousarray(seq.frames, dtype="<f4").tobytes())
+    fields = [("T", "I", seq.T), ("D", "I", seq.dim), ("label", "I", seq.label)]
+    write_binary(path, FSEQ_MAGIC, fields, np.ascontiguousarray(seq.frames, dtype="<f4"))
 
 
 def read_fseq(path: str) -> FeatureSequence:
-    """Inverse of write_fseq; values are widened to float64 in memory.
-
-    Parse failures name the byte offset of the problem.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(FSEQ_MAGIC)] != FSEQ_MAGIC:
-        raise ValueError(
-            f"{path}: bad magic at offset 0: {raw[:len(FSEQ_MAGIC)]!r} "
-            f"(expected {FSEQ_MAGIC!r})"
-        )
-    header_end = len(FSEQ_MAGIC) + _HEADER.size
-    if len(raw) < header_end:
-        raise ValueError(f"{path}: truncated header at offset {len(raw)}")
-    T, D, label = _HEADER.unpack(raw[len(FSEQ_MAGIC):header_end])
-    if T < 1 or D < 1:
-        raise ValueError(f"{path}: invalid dims T={T}, D={D} at offset {len(FSEQ_MAGIC)}")
-    body = raw[header_end:]
-    expected = 4 * T * D
-    if len(body) < expected:
-        raise ValueError(
-            f"{path}: truncated at offset {len(raw)}: "
-            f"need {header_end + expected} bytes for T={T}, D={D}"
-        )
-    if len(body) > expected:
-        raise ValueError(
-            f"{path}: {len(body) - expected} trailing bytes at offset "
-            f"{header_end + expected}"
-        )
-    frames = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(T, D)
+    """Inverse of write_fseq; values are widened to float64 in memory."""
+    reader = BinaryReader(path, FSEQ_MAGIC)
+    T, D, label = reader.count("T"), reader.count("D"), reader.take("I", "label")
+    frames = reader.floats("<f4", T * D, "frame values").reshape(T, D)
     return FeatureSequence(frames=frames, label=label, id=os.path.basename(path))
 
 
@@ -239,7 +271,7 @@ def load_manifest(path: str) -> Dataset:
     )
 
 
-def write_manifest(path: str, dataset: Dataset, file_prefix: str = "seq") -> None:
+def write_manifest(path: str, dataset: Dataset) -> None:
     """Write every sequence as an FSEQ file next to the manifest and emit the
     manifest itself. Convenience for the synthetic-dataset command."""
     base = os.path.dirname(os.path.abspath(path))
@@ -247,7 +279,7 @@ def write_manifest(path: str, dataset: Dataset, file_prefix: str = "seq") -> Non
     lines = [f"classes {dataset.n_classes}\n"]
     width = len(str(max(len(dataset) - 1, 0)))
     for idx, seq in enumerate(dataset.sequences):
-        rel = f"{file_prefix}{idx:0{width}d}.fseq"
+        rel = f"{FSEQ_PREFIX}{idx:0{width}d}.fseq"
         write_fseq(os.path.join(base, rel), seq)
         fold = "" if dataset.folds is None else f" {dataset.folds[idx]}"
         lines.append(f"{rel} {seq.label}{fold}\n")

@@ -28,6 +28,7 @@ from .numerics import EPS_LOSS_FLOOR, ShapeError, check_fields, cross_entropy
 ALPHA_POLICIES = ("literal", "clamped", "inverse_loss")
 WINDOW_MODES = ("sliding", "literal")
 INFERENCE_POLICIES = ("pseudo_label", "fixed_blend")
+TAU_MAX = 2**32 - 1  # a checkpoint stores tau as an unsigned 32-bit field
 
 # Scores a candidate historical state against the episode's label.
 LossFn = Callable[[np.ndarray], float]
@@ -42,6 +43,8 @@ class HistoricalConfig:
 
     def __post_init__(self):
         check_fields(self, {"tau": 1})
+        if self.tau > TAU_MAX:
+            raise ValueError(f"tau must be <= {TAU_MAX}, got {self.tau}")
         if self.window_mode not in WINDOW_MODES:
             raise ValueError(f"unknown window_mode {self.window_mode!r}")
         if self.alpha_policy not in ALPHA_POLICIES:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from typing import NamedTuple, Optional, Sequence
@@ -26,6 +25,7 @@ from .cells import (
     matvec,
     peep_apply,
 )
+from .dataio import BinaryReader, write_binary
 from .historical import (
     ALPHA_POLICIES,
     INFERENCE_POLICIES,
@@ -52,6 +52,17 @@ LSTM_FIELDS = (
 
 CHECKPOINT_MAGIC = b"HLSTM1"
 CHECKPOINT_VERSION = 1
+# The checkpoint's six tag bytes in file order: what an error calls the
+# byte, the values it indexes, and the attribute of the network that holds
+# the value.
+CHECKPOINT_TAGS = (
+    ("peephole mode tag", PEEPHOLE_MODES, "peephole"),
+    ("placement tag", HIST_PLACEMENTS, "hist_placement"),
+    ("use_historical flag", (False, True), "use_historical"),
+    ("alpha policy tag", ALPHA_POLICIES, "hist_cfg.alpha_policy"),
+    ("window mode tag", WINDOW_MODES, "hist_cfg.window_mode"),
+    ("inference policy tag", INFERENCE_POLICIES, "hist_cfg.inference_policy"),
+)
 
 
 def param_layout(input_dim: int, layer_units: Sequence[int], n_classes: int,
@@ -686,128 +697,56 @@ def backward_sequence(
     return grad
 
 
-def _index_of(value: str, options: tuple, what: str) -> int:
-    try:
-        return options.index(value)
-    except ValueError:
-        raise ValueError(f"unknown {what} {value!r}") from None
-
-
 def save_checkpoint(net: StackedNetwork, path: str) -> None:
     """Binary snapshot: versioned header, then the parameter vector as raw
-    64-bit little-endian floats (its blocks in layout order)."""
+    64-bit little-endian floats (its blocks in layout order). A header value
+    its field cannot hold is a ValueError, raised before the file opens."""
     if net.stack_shape:
         raise ValueError(f"cannot save a stack of parameter sets (theta {net.theta.shape}): "
                          "a checkpoint holds one")
-    L = len(net.layer_units)
-    head = [
-        CHECKPOINT_MAGIC,
-        struct.pack("<III", CHECKPOINT_VERSION, net.n_classes, net.input_dim),
-        struct.pack("<I", L),
-        struct.pack(f"<{L}I", *net.layer_units),
-        struct.pack(
-            "<6B",
-            _index_of(net.peephole, PEEPHOLE_MODES, "peephole mode"),
-            _index_of(net.hist_placement, HIST_PLACEMENTS, "placement"),
-            int(net.use_historical),
-            _index_of(net.hist_cfg.alpha_policy, ALPHA_POLICIES, "alpha policy"),
-            _index_of(net.hist_cfg.window_mode, WINDOW_MODES, "window mode"),
-            _index_of(net.hist_cfg.inference_policy, INFERENCE_POLICIES,
-                      "inference policy"),
-        ),
-        struct.pack("<I", net.hist_cfg.tau),
-        struct.pack("<d", net.dropout_p),
-    ]
-    with open(path, "wb") as fh:
-        for chunk in head:
-            fh.write(chunk)
-        fh.write(np.ascontiguousarray(net.theta, dtype="<f8").tobytes())
+    fields = [("version", "I", CHECKPOINT_VERSION), ("class count", "I", net.n_classes),
+              ("input_dim", "I", net.input_dim), ("layer count", "I", len(net.layer_units))]
+    fields += [(f"layer {k} units", "I", u) for k, u in enumerate(net.layer_units)]
+    fields += [(what, "B", options.index(operator.attrgetter(attr)(net)))
+               for what, options, attr in CHECKPOINT_TAGS]
+    fields += [("tau", "I", net.hist_cfg.tau), ("dropout_p", "d", net.dropout_p)]
+    write_binary(path, CHECKPOINT_MAGIC, fields, np.ascontiguousarray(net.theta, dtype="<f8"))
 
 
 def load_checkpoint(path: str) -> StackedNetwork:
-    """Inverse of save_checkpoint; rejects wrong magic and truncated files."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:6] != CHECKPOINT_MAGIC:
-        raise ValueError(
-            f"{path}: not a checkpoint (magic {raw[:6]!r}, expected {CHECKPOINT_MAGIC!r})"
-        )
-    pos = 6
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(raw):
-            raise ValueError(f"{path}: truncated checkpoint at byte {pos}")
-        chunk = raw[pos:pos + n]
-        pos += n
-        return chunk
-
-    version, n_classes, input_dim = struct.unpack("<III", take(12))
+    """Inverse of save_checkpoint. A file it cannot load is a ValueError
+    naming the file and the byte (see BinaryReader)."""
+    reader = BinaryReader(path, CHECKPOINT_MAGIC)
+    version = reader.take("I", "version")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (n_layers,) = struct.unpack("<I", take(4))
-    units = list(struct.unpack(f"<{n_layers}I", take(4 * n_layers)))
-    sizes = [("layer count", n_layers), ("input_dim", input_dim),
-             ("class count", n_classes)]
-    for what, value in sizes + [(f"layer {k} units", u) for k, u in enumerate(units)]:
-        if value < 1:
-            raise ValueError(f"{path}: checkpoint declares {what} {value}")
-    use_hist_at = pos + 2
-    peep_i, place_i, use_hist, alpha_i, window_i, infer_i = struct.unpack(
-        "<6B", take(6)
-    )
-    if use_hist not in (0, 1):
-        raise ValueError(f"{path}: byte {use_hist_at}: bad use_historical flag {use_hist}")
-    tau_at = pos
-    (tau,) = struct.unpack("<I", take(4))
-    dropout_at = pos
-    (dropout_p,) = struct.unpack("<d", take(8))
-    for idx, options, what in (
-        (peep_i, PEEPHOLE_MODES, "peephole mode"),
-        (place_i, HIST_PLACEMENTS, "placement"),
-        (alpha_i, ALPHA_POLICIES, "alpha policy"),
-        (window_i, WINDOW_MODES, "window mode"),
-        (infer_i, INFERENCE_POLICIES, "inference policy"),
-    ):
-        if idx >= len(options):
-            raise ValueError(f"{path}: bad {what} tag {idx}")
+        reader.fail(f"unsupported checkpoint version {version}")
+    n_classes, input_dim = reader.count("class count"), reader.count("input_dim")
+    units = [reader.count(f"layer {k} units") for k in range(reader.count("layer count"))]
+    net_tags, cfg_tags = {}, {}  # by the attribute that holds them
+    for what, options, attr in CHECKPOINT_TAGS:
+        index = reader.take("B", what)
+        if index >= len(options):
+            reader.fail(f"bad {what} {index}")
+        owner, _, name = attr.rpartition(".")
+        (cfg_tags if owner else net_tags)[name] = options[index]
+    tau = reader.take("I", "tau")
     try:
-        hist_cfg = HistoricalConfig(
-            tau=tau,
-            window_mode=WINDOW_MODES[window_i],
-            alpha_policy=ALPHA_POLICIES[alpha_i],
-            inference_policy=INFERENCE_POLICIES[infer_i],
-        )
+        hist_cfg = HistoricalConfig(tau=tau, **cfg_tags)
     except ValueError as exc:
-        raise ValueError(f"{path}: byte {tau_at}: {exc}") from None
-    placement, peephole = HIST_PLACEMENTS[place_i], PEEPHOLE_MODES[peep_i]
-    n_params = param_count(input_dim, units, n_classes, placement, peephole)
-    end = pos + 8 * n_params
-    if end > len(raw):
-        raise ValueError(
-            f"{path}: truncated checkpoint at byte {len(raw)}: the header declares "
-            f"{n_params} parameters, ending at byte {end}"
-        )
-    if end < len(raw):
-        raise ValueError(f"{path}: {len(raw) - end} trailing bytes after parameters")
-
+        reader.fail(str(exc))
+    dropout_p = reader.take("d", "dropout_p")
+    dropout_at = reader.at
+    n_params = param_count(input_dim, units, n_classes, net_tags["hist_placement"],
+                           net_tags["peephole"])
+    theta = reader.floats("<f8", n_params, "parameters")
     # The tags and sizes are checked above, so dropout_p is the one field the
     # network can reject.
     try:
-        return StackedNetwork(
-            theta=np.array(np.frombuffer(raw, dtype="<f8", count=n_params, offset=pos),
-                           dtype=np.float64),
-            input_dim=input_dim,
-            layer_units=units,
-            n_classes=n_classes,
-            peephole=peephole,
-            dropout_p=dropout_p,
-            hist_cfg=hist_cfg,
-            hist_placement=placement,
-            use_historical=bool(use_hist),
-        )
+        return StackedNetwork(theta=theta, input_dim=input_dim, layer_units=units,
+                              n_classes=n_classes, dropout_p=dropout_p, hist_cfg=hist_cfg,
+                              **net_tags)
     except ValueError as exc:
-        raise ValueError(f"{path}: byte {dropout_at}: {exc}") from None
+        reader.fail(str(exc), dropout_at)
 
 
 def predict(net: StackedNetwork, x) -> int:

@@ -286,23 +286,18 @@ def kfold_split(dataset: Dataset, k: int, seed: int) -> np.ndarray:
         raise ValueError(f"need at least k={k} samples, have {n}")
     labels = dataset.labels()
     rng = np.random.default_rng(seed)
-    folds = np.empty(n, dtype=np.int64)
     counts = np.bincount(labels, minlength=dataset.n_classes)
-    present = [c for c in range(dataset.n_classes) if counts[c] > 0]
-    if min(counts[c] for c in present) < k:
+    groups = [np.flatnonzero(labels == c) for c in np.flatnonzero(counts)]
+    if counts[counts > 0].min() < k:
         warnings.warn(
             f"some class has fewer than {k} samples; using an unstratified split",
             stacklevel=2,
         )
-        order = rng.permutation(n)
-        for pos, idx in enumerate(order):
-            folds[idx] = pos % k
-        return folds
-    for c in present:
-        members = np.flatnonzero(labels == c)
+        groups = [np.arange(n)]
+    folds = np.empty(n, dtype=np.int64)
+    for members in groups:
         order = rng.permutation(members)
-        for pos, idx in enumerate(order):
-            folds[idx] = pos % k
+        folds[order] = np.arange(len(order)) % k
     return folds
 
 
@@ -383,6 +378,14 @@ def _block_of(net: StackedNetwork, flat_index: int) -> str:
     return "?"
 
 
+# grad_check's fixed settings: TrainConfig's default loss weights and
+# peephole mode, and the central-difference step.
+GRAD_CHECK_LAMBDA_AUX = TrainConfig.lambda_aux
+GRAD_CHECK_L2 = TrainConfig.l2
+GRAD_CHECK_PEEPHOLE = TrainConfig.peephole
+GRAD_CHECK_H = 1e-5
+
+
 def _forced_cases(seeds, layer_units, input_dim, n_classes, lengths, tau,
                   hist_placement, peephole) -> Iterable[tuple]:
     """grad_check's cases: per seed, for every (alpha policy, window mode,
@@ -449,11 +452,7 @@ def grad_check(
     n_classes: int = 3,
     lengths: Sequence[int] = (1, 3, 6),
     tau: int = 2,
-    lambda_aux: float = TrainConfig.lambda_aux,
-    l2: float = TrainConfig.l2,
-    h: float = 1e-5,
     hist_placement: str = TrainConfig.hist_placement,
-    peephole: str = TrainConfig.peephole,
     tamper: Optional[dict] = None,
 ) -> GradCheckReport:
     """Finite-difference verification of the analytic gradients.
@@ -478,19 +477,21 @@ def grad_check(
     cases = []
     realized_cover = set()
     for seed, T, policy, mode, branch, net, X, label, trace0 in _forced_cases(
-        seeds, layer_units, input_dim, n_classes, lengths, tau, hist_placement, peephole
+        seeds, layer_units, input_dim, n_classes, lengths, tau, hist_placement,
+        GRAD_CHECK_PEEPHOLE,
     ):
         realized = tuple(
             sorted({r.branch for r in trace0.hists[-1].records if r.branch != "init"})
         )
         for b in realized:
             realized_cover.add((policy, mode, b))
-        analytic = backward_sequence(net, trace0, label, lambda_aux, l2)
+        analytic = backward_sequence(net, trace0, label, GRAD_CHECK_LAMBDA_AUX, GRAD_CHECK_L2)
         for suffix, factor in (tamper or {}).items():
             for name, block in net.views(analytic).items():
                 if name.endswith(suffix):
                     block *= factor
-        fd = _central_differences(net, X, label, trace0, lambda_aux, l2, h)
+        fd = _central_differences(net, X, label, trace0, GRAD_CHECK_LAMBDA_AUX, GRAD_CHECK_L2,
+                                  GRAD_CHECK_H)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-4)
         rel = np.abs(analytic - fd) / denom
         worst = int(np.argmax(rel))
@@ -500,9 +501,9 @@ def grad_check(
         def along_worst(v):
             probe.theta[worst] = v[0]
             tr = forward_sequence(probe, X, label=label, training=True, replay_from=trace0)
-            return total_loss(probe, tr, label, lambda_aux, l2)
+            return total_loss(probe, tr, label, GRAD_CHECK_LAMBDA_AUX, GRAD_CHECK_L2)
 
-        scalar = finite_diff(along_worst, net.theta[worst:worst + 1], h)[0]
+        scalar = finite_diff(along_worst, net.theta[worst:worst + 1], GRAD_CHECK_H)[0]
         if abs(scalar - fd[worst]) > 1e-9 * max(1.0, abs(fd[worst])):
             raise RuntimeError(
                 f"grad_check case seed={seed} T={T} {policy}/{mode}/{branch}: the stacked "

@@ -229,6 +229,13 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key.rstrip("s") in err
 
+    def test_tau_beyond_the_checkpoint_field_exits_2_before_training(self, tmp_path, capsys):
+        # tau is stored as a u32: 2**32 used to train, then fail to save
+        assert run(["train", *synth_args(tmp_path, "--tau", "4294967296")]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: tau must be <= 4294967295, got 4294967296\n"
+        assert "epoch" not in out and not (tmp_path / "out" / "model.ckpt").exists()
+
     @pytest.mark.parametrize("command, args, key", [
         ("train", ("--set", "lr0=inf"), "lr0"),
         ("synth", ("--seed", "-1"), "seed"),
@@ -260,8 +267,7 @@ class TestExitCodes:
         code = run(["eval", *synth_args(tmp_path, "--checkpoint", str(ckpt))])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "model.ckpt: checkpoint declares layer 0 units 0" in err
+        assert err == f"error: {ckpt}: byte 22: layer 0 units must be >= 1, got 0\n"
 
     def test_eval_huge_class_count_checkpoint_exits_1(self, tmp_path, capsys):
         assert run(["train", *synth_args(tmp_path)]) == 0
@@ -273,7 +279,7 @@ class TestExitCodes:
         code = run(["eval", *synth_args(tmp_path, "--checkpoint", str(ckpt))])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {ckpt}: truncated checkpoint at byte ")
+        assert err.startswith(f"error: {ckpt}: byte {len(blob)}: truncated: the ")
         assert err.count("\n") == 1
 
     def test_non_utf8_manifest_exits_1_naming_file_and_byte(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -107,14 +108,16 @@ class TestFseqFormat:
         path = os.path.join(tmp_path, "bad.fseq")
         with open(path, "wb") as fh:
             fh.write(b"XXXX" + b"\x00" * 20)
-        with pytest.raises(ValueError, match="offset 0"):
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: byte 0: bad magic "
+                                             r"b'XXXX\\x00', expected b'FSEQ1'$"):
             read_fseq(path)
 
     def test_truncated_header(self, tmp_path):
         path = os.path.join(tmp_path, "short.fseq")
         with open(path, "wb") as fh:
-            fh.write(b"FSEQ1" + b"\x00" * 4)
-        with pytest.raises(ValueError, match="truncated header at offset 9"):
+            fh.write(b"FSEQ1" + (2).to_bytes(4, "little"))  # T, then the file ends
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: byte 9: truncated: "
+                                             "D would end at byte 13$"):
             read_fseq(path)
 
     def test_truncated_body_names_offset(self, tmp_path):
@@ -122,7 +125,9 @@ class TestFseqFormat:
         write_fseq(path, FeatureSequence(frames=np.ones((2, 3)), label=1))
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[:-5])
-        with pytest.raises(ValueError, match="truncated at offset"):
+        # 17 header bytes and 24 of frames, cut to 36
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: byte 36: truncated: the 6 "
+                                             "frame values the header declares would end at byte 41$"):
             read_fseq(path)
 
     def test_trailing_bytes(self, tmp_path):
@@ -138,8 +143,16 @@ class TestFseqFormat:
         with open(path, "wb") as fh:
             fh.write(b"FSEQ1")
             fh.write((0).to_bytes(4, "little") * 2 + (0).to_bytes(4, "little"))
-        with pytest.raises(ValueError, match="invalid dims"):
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: byte 5: T must be >= 1, got 0$"):
             read_fseq(path)
+
+    def test_label_beyond_u32_is_refused_before_the_file_opens(self, tmp_path):
+        path = os.path.join(tmp_path, "big.fseq")
+        seq = FeatureSequence(frames=np.ones((1, 1)), label=2**32)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: label 4294967296 does not "
+                                             "fit its 'I' field$"):
+            write_fseq(path, seq)
+        assert not os.path.exists(path)
 
 
 class TestManifest:

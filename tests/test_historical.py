@@ -647,3 +647,9 @@ class TestInvariantsAndDegenerate:
             HistoricalConfig(alpha_policy="softmax")
         with pytest.raises(ValueError):
             HistoricalConfig(inference_policy="oracle")
+
+    def test_tau_must_fit_the_checkpoint_field(self):
+        # a checkpoint stores tau as an unsigned 32-bit field
+        assert HistoricalConfig(tau=2**32 - 1).tau == 2**32 - 1
+        with pytest.raises(ValueError, match=r"^tau must be <= 4294967295, got 4294967296$"):
+            HistoricalConfig(tau=2**32)

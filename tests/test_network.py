@@ -643,7 +643,9 @@ class TestCheckpoint:
         blob = bytearray(open(path, "rb").read())
         blob[offset:offset + 4] = bytes(4)
         open(path, "wb").write(bytes(blob))
-        with pytest.raises(ValueError, match=f"net.ckpt: checkpoint declares {field}"):
+        name = field.removesuffix(" 0")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(path)}: byte {offset}: {name} must be >= 1, got 0$"):
             load_checkpoint(path)
 
     # a 1-layer header: 26 bytes up to the units, 6 tag bytes, then tau, dropout_p
@@ -678,6 +680,56 @@ class TestCheckpoint:
         ):
             load_checkpoint(path)
 
+    # tiny_net(units=(3, 2)) saved: the units at 22 and 26, the six tags at
+    # 30-35, tau at 36, dropout_p at 40, then 153 parameters, bytes 48-1271
+    @pytest.mark.parametrize("edit, offset, message", [
+        ((0, b"X"), 0, r"bad magic b'XLSTM1', expected b'HLSTM1'"),
+        ((6, b"\x02"), 6, "unsupported checkpoint version 2"),
+        ((10, bytes(4)), 10, "class count must be >= 1, got 0"),
+        ((14, bytes(4)), 14, "input_dim must be >= 1, got 0"),
+        ((18, bytes(4)), 18, "layer count must be >= 1, got 0"),
+        ((22, bytes(4)), 22, "layer 0 units must be >= 1, got 0"),
+        ((26, bytes(4)), 26, "layer 1 units must be >= 1, got 0"),
+        ((30, b"\x02"), 30, "bad peephole mode tag 2"),
+        ((31, b"\x02"), 31, "bad placement tag 2"),
+        ((32, b"\x02"), 32, "bad use_historical flag 2"),
+        ((33, b"\x03"), 33, "bad alpha policy tag 3"),
+        ((34, b"\x02"), 34, "bad window mode tag 2"),
+        ((35, b"\x02"), 35, "bad inference policy tag 2"),
+        ((36, bytes(4)), 36, "tau must be >= 1, got 0"),
+        ((40, struct.pack("<d", 1.0)), 40, r"dropout_p must be in \[0, 1\), got 1.0"),
+        (38, 38, "truncated: tau would end at byte 40"),
+        (1267, 1267, "truncated: the 153 parameters the header declares would end at byte 1272"),
+        (1275, 1272, "3 trailing bytes"),
+    ], ids=["magic", "version", "class count", "input_dim", "layer count", "layer 0 units",
+            "layer 1 units", "peephole tag", "placement tag", "use_historical flag",
+            "alpha tag", "window tag", "inference tag", "tau", "dropout_p",
+            "cut in the header", "cut in the parameters", "trailing bytes"])
+    def test_every_field_error_names_its_byte(self, tmp_path, edit, offset, message):
+        # edit: (offset, bytes) written over the file, or the length it is cut
+        # or zero-padded to
+        path = os.path.join(tmp_path, "net.ckpt")
+        save_checkpoint(tiny_net(seed=40, units=(3, 2)), path)
+        blob = open(path, "rb").read()
+        assert len(blob) == 1272
+        if isinstance(edit, int):
+            blob = blob[:edit] + bytes(max(0, edit - len(blob)))
+        else:
+            at, value = edit
+            blob = blob[:at] + value + blob[at + len(value):]
+        open(path, "wb").write(blob)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: byte {offset}: {message}$"):
+            load_checkpoint(path)
+
+    def test_header_value_beyond_its_field_is_refused_before_the_file_opens(self, tmp_path):
+        net = tiny_net(seed=40, units=(3,))
+        object.__setattr__(net.hist_cfg, "tau", 2**32)  # past HistoricalConfig's own check
+        path = tmp_path / "net.ckpt"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: tau 4294967296 does not "
+                                             "fit its 'I' field$"):
+            save_checkpoint(net, str(path))
+        assert not path.exists()
+
     def test_huge_class_count_is_rejected_before_allocating(self, tmp_path):
         # 2**32 - 1 classes would need a 96 GiB head: the header is checked
         # against the file's size before any parameter array exists
@@ -689,7 +741,7 @@ class TestCheckpoint:
         open(path, "wb").write(bytes(blob))
         with pytest.raises(ValueError) as exc:
             load_checkpoint(path)
-        assert str(exc.value).startswith(f"{path}: truncated checkpoint at byte {len(blob)}")
+        assert str(exc.value).startswith(f"{path}: byte {len(blob)}: truncated: the ")
 
     def test_param_count_matches_flatten(self):
         for placement in HIST_PLACEMENTS:

@@ -37,7 +37,7 @@ def fuzz_checkpoints(tmp_path_factory):
 def test_mutated_checkpoint_loads_or_names_file(fuzz_checkpoints, data):
     """Any one header byte (magic through dropout_p) replaced, or the file cut
     at any length: the load succeeds or raises a one-line ValueError that
-    starts with the path."""
+    starts with the path and the byte."""
     path, blobs = fuzz_checkpoints
     blob = bytearray(data.draw(st.sampled_from(blobs), label="net"))
     # magic, version, classes, input_dim, layer count (22 bytes), the units,
@@ -55,7 +55,7 @@ def test_mutated_checkpoint_loads_or_names_file(fuzz_checkpoints, data):
         load_checkpoint(path)
     except ValueError as exc:
         message = str(exc)
-        assert message.startswith(f"{path}: ") and "\n" not in message
+        assert re.match(rf"{re.escape(path)}: byte \d+: ", message) and "\n" not in message
     else:
         if offset == 22 + 4 * n_layers + 2:
             assert blob[offset] in (0, 1)
@@ -79,7 +79,7 @@ def fuzz_fseqs(tmp_path_factory):
 def test_mutated_fseq_loads_or_names_file(fuzz_fseqs, data):
     """Any one header byte (magic, T, D, label) replaced, or the file cut at
     any length: the read succeeds or raises a one-line ValueError that starts
-    with the path."""
+    with the path and the byte."""
     path, blobs = fuzz_fseqs
     blob = bytearray(data.draw(st.sampled_from(blobs), label="sequence"))
     if data.draw(st.booleans(), label="replace a header byte"):
@@ -93,7 +93,7 @@ def test_mutated_fseq_loads_or_names_file(fuzz_fseqs, data):
         read_fseq(path)
     except ValueError as exc:
         message = str(exc)
-        assert message.startswith(f"{path}: ") and "\n" not in message
+        assert re.match(rf"{re.escape(path)}: byte \d+: ", message) and "\n" not in message
 
 
 def _mutate(data, blob: bytes) -> bytes:

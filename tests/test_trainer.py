@@ -1,6 +1,8 @@
 """Tests for the optimization loop: schedule, Adam, batching, k-fold,
 training determinism, and the finite-difference harness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -335,6 +337,25 @@ class TestKfold:
             folds = kfold_split(ds, 4, seed=1)
         sizes = np.bincount(folds, minlength=4)
         assert sizes.max() - sizes.min() <= 1  # unstratified but even
+
+    # Folds pinned as digits, one per sample in dataset order: the stratified
+    # path (class 1 absent) and the unstratified fallback (class 1 below k).
+    @pytest.mark.parametrize("counts, seed, want", [
+        ([4, 0, 4, 4], 0, "120002102001"),
+        ([4, 0, 4, 4], 1, "012010201200"),
+        ([4, 0, 4, 4], 7, "021001200201"),
+        ([4, 0, 4, 4], 123, "001210201002"),
+        ([5, 2], 0, "2002110"),
+        ([5, 2], 1, "1210002"),
+        ([5, 2], 7, "0200112"),
+        ([5, 2], 123, "1221000"),
+    ])
+    def test_folds_are_pinned(self, counts, seed, want):
+        ds = self.labeled_dataset(counts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the fallback's warning
+            folds = kfold_split(ds, 3, seed=seed)
+        assert "".join(map(str, folds.tolist())) == want
 
     def test_bad_arguments(self):
         ds = self.labeled_dataset([3, 3])
