@@ -1,7 +1,7 @@
 """Alternating base/change pairs of the benchmark, written to BENCH_<tag>.json.
 
     python3 bench/pairs.py --base HEAD~1 --workload gradcheck --seeds 201-210 \\
-        --scratch /tmp/pairs --tag gradcheck
+        --scratch /tmp/pairs --tag my-change-gradcheck
 
 Exports the base commit with `git archive` into a fresh directory under
 --scratch, and the change next to it: this checkout's tracked files as they
@@ -10,7 +10,8 @@ ignored. Both sides so run from the same kind of tree. For each seed
 it runs `perfbench/run.py --workload W --seed S --seconds N --trace 0` once
 in each tree, alternating which side runs first, so slow minutes on a
 shared host fall on both sides alike. Seeds 1-20 were used while the
-benchmark was built and are refused.
+benchmark was built and are refused, and so is a tag whose BENCH_<tag>.json
+already exists.
 
 The output holds both commits, the machine, each side's `wc -l
 src/histlstm/*.py` total, every pair's end-to-end values, failed counts and
@@ -159,6 +160,9 @@ def main(argv=None) -> int:
     tuning = [s for s in args.seeds if s in TUNING_SEEDS]
     if tuning:
         p.error(f"seeds {tuning} were used while building the benchmark")
+    out = ROOT / f"BENCH_{args.tag}.json"
+    if out.exists():  # committed evidence is never overwritten
+        p.error(f"{out} exists; pick a new --tag")
 
     scratch = Path(args.scratch or tempfile.mkdtemp(prefix="histlstm-pairs-"))
     base_commit = git("rev-parse", args.base)
@@ -200,7 +204,6 @@ def main(argv=None) -> int:
         "outputs_identical": outputs_identical(pairs),
         "metrics": summarize(pairs, spec),
     }
-    out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     for name, m in report["metrics"].items():
         print(f"{name}: median {m['base']['median']:.4g} -> {m['change']['median']:.4g} "

@@ -126,6 +126,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if key not in DEFAULTS:
             raise UsageError(f"--set: unknown key {key!r}")
         cfg[key] = _convert(key, raw)
+    if not cfg["out"]:
+        raise UsageError("out must name a directory, got ''")
     return cfg
 
 

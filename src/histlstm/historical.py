@@ -59,7 +59,8 @@ class StepRecord:
 
     The coefficients (alpha, or the truncation_weights of the window) are
     treated as constants by backpropagation, so recording them replays the
-    step: a truncation state is the mean of the last len(weights) responses.
+    step: a truncation state is the mean of the last len(weights) responses,
+    and init records l_1 = h_1 as the window of one.
     """
 
     branch: str  # "init" | "blend" | "trunc"
@@ -158,24 +159,23 @@ def step_loss(head: HeadParams, state: np.ndarray, label: int) -> float:
 
 
 def initial_trace(h1: np.ndarray, loss_fn: LossFn) -> HistoricalTrace:
-    """First step: the historical state is the first response, l_1 = h_1."""
+    """First step: the historical state is the first response, l_1 = h_1,
+    recorded as the one-response window it is."""
     eps_l = loss_fn(h1)
-    rec = StepRecord(branch="init", eps_h=eps_l, eps_l_prev=eps_l, eps_l_new=eps_l)
+    rec = StepRecord(branch="init", eps_h=eps_l, eps_l_prev=eps_l, eps_l_new=eps_l,
+                     weights=np.ones(1))
     return HistoricalTrace(
         l=h1, h_buffer=[h1], eps_l=eps_l, records=[rec], l_history=[h1]
     )
 
 
 def _next_state(trace: HistoricalTrace, h_t: np.ndarray, alpha: Optional[float],
-                n: Optional[int], state: Optional[np.ndarray]) -> np.ndarray:
+                n: Optional[int]) -> np.ndarray:
     """l_t: h_t blended into l_{t-1} with weight alpha, or (alpha None) the
-    mean of the last n responses: a copy of state if given (so the array it
-    is a row of can be freed), else window_mean of them."""
+    window_mean of the last n responses."""
     if alpha is not None:
         return alpha * h_t + (1.0 - alpha) * trace.l
-    if state is None:
-        return window_mean(np.array(trace.h_buffer[len(trace.h_buffer) + 1 - n:] + [h_t]))
-    return state.copy()
+    return window_mean(np.array(trace.h_buffer[len(trace.h_buffer) + 1 - n:] + [h_t]))
 
 
 def _step(trace: HistoricalTrace, h_t: np.ndarray, l_new: np.ndarray,
@@ -209,11 +209,12 @@ def historical_update(
     if eps_h >= trace.eps_l:
         branch, w, trunc = "blend", None, None
         alpha = compute_alpha(trace.eps_l, eps_h, cfg.alpha_policy)
+        l_new = _next_state(trace, h_t, alpha, None)
     else:
         branch, alpha = "trunc", None
         w = truncation_weights(t, cfg.tau, cfg.window_mode)
-    l_new = _next_state(trace, h_t, alpha, None if w is None else len(w),
-                        None if trunc is None else trunc[0])
+        # a given state is copied, so the array it is a row of can be freed
+        l_new = _next_state(trace, h_t, None, len(w)) if trunc is None else trunc[0].copy()
     if not np.isfinite(l_new).all():
         raise ValueError(f"historical state is not finite at step t={t} "
                          f"({branch} branch, alpha={alpha})")
@@ -229,9 +230,9 @@ def historical_update(
 
 
 def replay_update(trace: HistoricalTrace, h_t: np.ndarray, record: StepRecord,
-                  cfg: HistoricalConfig, state: Optional[np.ndarray] = None) -> HistoricalTrace:
+                  cfg: HistoricalConfig) -> HistoricalTrace:
     """Advance the state reusing a recorded branch and its frozen coefficients
-    (a truncation step takes its state from state if given).
+    (a truncation step re-sums its recorded window).
 
     Used to evaluate the loss with the branch schedule pinned, which is the
     function the stop-gradient backward pass actually differentiates.
@@ -239,7 +240,7 @@ def replay_update(trace: HistoricalTrace, h_t: np.ndarray, record: StepRecord,
     if record.branch not in ("blend", "trunc"):
         raise ValueError(f"cannot replay branch {record.branch!r} mid-sequence")
     n = None if record.weights is None else len(record.weights)
-    return _step(trace, h_t, _next_state(trace, h_t, record.alpha, n, state), record)
+    return _step(trace, h_t, _next_state(trace, h_t, record.alpha, n), record)
 
 
 def inference_losses(step_probs: np.ndarray, policy: str) -> tuple[list, list]:

@@ -70,7 +70,13 @@ def param_layout(input_dim: int, layer_units: Sequence[int], n_classes: int,
     """Every parameter block as (name, shape), in the one canonical order of
     the parameter vector, its gradient, Adam's moments and the checkpoint:
     each layer's LSTM_FIELDS (LstmParams' field order), then each head's V
-    and c: aux heads ("all" placement), per-step, final."""
+    and c: aux heads ("all" placement), per-step, final. A size below 1 is a
+    ValueError naming its field."""
+    if not layer_units or min(layer_units) < 1:
+        raise ValueError(f"layer_units must hold >= 1 layer of >= 1 unit, got {list(layer_units)}")
+    for name, size in (("input_dim", input_dim), ("n_classes", n_classes)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
     layout = []
     d = input_dim
     for k, u in enumerate(layer_units):
@@ -161,8 +167,6 @@ class StackedNetwork:
             raise ValueError(f"unknown peephole mode {self.peephole!r}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if not self.layer_units:
-            raise ValueError("need at least one layer")
         self.layer_units = list(self.layer_units)
         shape_key = (self.input_dim, tuple(self.layer_units), self.n_classes,
                      self.hist_placement, self.peephole)
@@ -359,19 +363,18 @@ def _run_historical(
     neither losses nor policies are consulted; a stacked network's H is
     (K, T, U) and every state is (K, U). A live pass scores step t's states
     against y_t: the label if given (training), else the inference policy's
-    stand-in (None scores 1). l_{t-1} is rescored when y_t changes. Sliding
-    windows' truncation states are formed and scored at the first truncation;
-    a literal pass would cost O(T^2), so each literal truncation sums its own.
+    stand-in (None scores 1). l_{t-1} is rescored when y_t changes. A live
+    sliding pass with targets forms and scores every step's truncation state
+    before its first step; a literal batch would cost O(T^2), so each literal
+    truncation, like each replayed one, sums its own window.
     """
     l_head = net.scorers[k][1]
     cfg = net.hist_cfg
     if replay_records is not None:
         steps = np.moveaxis(H, -2, 0)
-        trunc = cfg.window_mode == "sliding" and any(r.branch == "trunc" for r in replay_records)
-        S = np.moveaxis(truncation_states(H, cfg.tau), -2, 0) if trunc else [None] * len(steps)
         hist = initial_trace(steps[0], lambda s: replay_records[0].eps_l_new)
         for t in range(1, len(steps)):
-            hist = replay_update(hist, steps[t], replay_records[t], cfg, S[t])
+            hist = replay_update(hist, steps[t], replay_records[t], cfg)
         return hist
     if label is not None:
         targets = [label] * len(H)
@@ -381,17 +384,16 @@ def _run_historical(
     scorers = [(lambda s: 1.0) if y is None else partial(step_loss, l_head, label=y)
                for y in targets]
     S = None
+    if cfg.window_mode == "sliding" and targets[0] is not None:  # fixed_blend never truncates
+        S = truncation_states(H, cfg.tau)
+        ys = label if label is not None else np.array(targets)
+        # (T, 1, U): one matrix-vector product per row, the bits of
+        # step_loss; a (T, U) @ (U, C) product sums in another order.
+        S_loss = cross_entropy(head_predict(l_head, S[:, None, :])[:, 0], ys).tolist()
     hist = initial_trace(H[0], scorers[0])
     for t in range(1, len(H)):
         if targets[t] != targets[t - 1]:
             hist = replace(hist, eps_l=scorers[t](hist.l))
-        # historical_update's test for the trunc branch (fixed_blend never passes it)
-        if S is None and cfg.window_mode == "sliding" and eps_h[t] < hist.eps_l:
-            S = truncation_states(H, cfg.tau)
-            ys = label if label is not None else np.array(targets)
-            # (T, 1, U): one matrix-vector product per row, the bits of
-            # step_loss; a (T, U) @ (U, C) product sums in another order.
-            S_loss = cross_entropy(head_predict(l_head, S[:, None, :])[:, 0], ys).tolist()
         trunc = None if S is None else (S[t], S_loss[t])
         hist = historical_update(hist, H[t], eps_h[t], cfg, scorers[t], trunc)
     return hist
@@ -553,12 +555,9 @@ def _historical_backward(records: list, dl_in: np.ndarray) -> np.ndarray:
         if rec.branch == "blend":
             dH[t] += rec.alpha * dl
             dl = (1.0 - rec.alpha) * dl
-        elif rec.branch == "trunc":
-            w = rec.weights  # the window: rows t+1-len(w)..t
+        else:  # a window (trunc, or init's l_1 = h_1): rows t+1-len(w)..t
+            w = rec.weights
             dH[t + 1 - len(w): t + 1] += w[:, None] * dl[None, :]
-            dl = np.zeros(U)
-        else:  # init at t == 0: l_1 = h_1
-            dH[0] += dl
             dl = np.zeros(U)
     return dH
 

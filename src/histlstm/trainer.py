@@ -54,6 +54,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         check_fields(self, {"decay_every": 1, "batch_size": 1, "epochs": 0,
                             "seed": 0, "l2": 0, "lambda_aux": 0})
+        if self.decay_base > 1:  # a staircase decay factor
+            raise ValueError(f"decay_base must be <= 1, got {self.decay_base}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         object.__setattr__(self, "layer_units", tuple(int(u) for u in self.layer_units))

@@ -94,3 +94,20 @@ def test_change_side_export_holds_uncommitted_edits_and_untracked_files(tmp_path
     assert (dest / "src" / "new.py").read_text() == "z = 3\n"
     base = pairs.export("HEAD", tmp_path / "out" / "base")
     assert (base / "src" / "a.py").read_text() == "x = 1\n" and (base / "gone.py").exists()
+
+
+def test_existing_output_file_is_refused_before_any_export(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCH_kept.json").write_text("{}\n")
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+
+    def no_export(*args):
+        raise AssertionError("nothing is exported or run for a refused tag")
+
+    monkeypatch.setattr(pairs, "export", no_export)
+    monkeypatch.setattr(pairs, "export_worktree", no_export)
+    with pytest.raises(SystemExit) as exc:
+        pairs.main(["--base", "HEAD", "--workload", "gradcheck", "--seeds", "2001-2002",
+                    "--tag", "kept"])
+    assert exc.value.code == 2
+    assert f"{tmp_path / 'BENCH_kept.json'} exists" in capsys.readouterr().err
+    assert (tmp_path / "BENCH_kept.json").read_text() == "{}\n"

@@ -236,6 +236,21 @@ class TestExitCodes:
         assert err == "error: tau must be <= 4294967295, got 4294967296\n"
         assert "epoch" not in out and not (tmp_path / "out" / "model.ckpt").exists()
 
+    def test_growing_decay_base_exits_2_before_training(self, tmp_path, capsys):
+        # decay_base ** step used to overflow at step 2 with a traceback
+        args = ("--set", "lr0=1e-300", "--set", "decay_base=1e200", "--set", "decay_every=1")
+        assert run(["train", *synth_args(tmp_path, *args)]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: decay_base must be <= 1, got 1e+200\n"
+        assert "epoch" not in out and not (tmp_path / "out" / "model.ckpt").exists()
+
+    def test_empty_out_exits_2_naming_the_key(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["train", *synth_args(tmp_path, "--set", "out=")]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: out must name a directory, got ''\n" and "epoch" not in out
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("command, args, key", [
         ("train", ("--set", "lr0=inf"), "lr0"),
         ("synth", ("--seed", "-1"), "seed"),

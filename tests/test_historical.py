@@ -289,6 +289,19 @@ class TestHistoricalUpdate:
         for k, h in enumerate(hs):
             assert np.array_equal(trace.h_buffer[k], h)
 
+    def test_initial_trace_records_a_one_response_window(self):
+        trace = initial_trace(np.random.default_rng(6).standard_normal(3), lambda v: 1.5)
+        rec = trace.records[0]
+        assert (rec.branch, rec.alpha) == ("init", None)
+        assert rec.weights.dtype == np.float64 and rec.weights.tolist() == [1.0]
+
+    def test_backward_of_one_step_returns_its_gradient_bitwise(self):
+        # the init record's window of one carries dl_1 to h_1 unchanged
+        rng = np.random.default_rng(7)
+        trace = initial_trace(rng.standard_normal(4), lambda v: 1.5)
+        dl_in = rng.standard_normal((1, 4)) * np.exp2(rng.integers(-30, 30, size=(1, 4)))
+        assert np.array_equal(_historical_backward(trace.records, dl_in), dl_in)
+
     def test_updates_do_not_mutate_previous_trace(self):
         rng = np.random.default_rng(5)
         h1 = rng.standard_normal(3)

@@ -264,6 +264,35 @@ class TestForwardSequence:
                 for la, lb in zip(mine.l_history, theirs.l_history, strict=True):
                     assert np.array_equal(la, lb)
 
+    @pytest.mark.parametrize("placement", HIST_PLACEMENTS)
+    def test_replay_of_sliding_passes_with_and_without_truncation(self, placement):
+        # a live sliding pass takes its truncation states from the batch it
+        # forms up front, a replay re-sums each recorded window; with every
+        # head matrix zero, all states score alike and every step blends
+        cfg = HistoricalConfig(tau=3, alpha_policy="inverse_loss")
+        truncating = tiny_net(seed=25, dropout=0.3, placement=placement, cfg=cfg)
+        blending = truncating.clone()
+        for name, block in blending.views(blending.theta).items():
+            if name.endswith(".V"):
+                block[...] = 0.0
+        X = np.random.default_rng(26).standard_normal((12, 2)) * 2
+        for net, truncates in ((truncating, True), (blending, False)):
+            ref = forward_sequence(net, X, label=2, training=True, rng=np.random.default_rng(27))
+            again = forward_sequence(net, X, label=2, training=True, replay_from=ref)
+            branches = {r.branch for h in ref.hists if h is not None for r in h.records}
+            assert ("trunc" in branches) == truncates
+            assert np.array_equal(again.final_probs, ref.final_probs)
+            for mine, theirs in zip(again.hists, ref.hists, strict=True):
+                if theirs is None:
+                    continue
+                for a, b in zip(mine.records, theirs.records, strict=True):
+                    assert (a.branch, a.eps_h, a.eps_l_prev, a.eps_l_new, a.alpha) == \
+                        (b.branch, b.eps_h, b.eps_l_prev, b.eps_l_new, b.alpha)
+                    assert (a.weights is None) == (b.weights is None)
+                    assert a.weights is None or np.array_equal(a.weights, b.weights)
+                for la, lb in zip(mine.l_history, theirs.l_history, strict=True):
+                    assert np.array_equal(la, lb)
+
     def test_errors(self):
         net = tiny_net(seed=17)
         with pytest.raises(ShapeError):
@@ -833,6 +862,24 @@ class TestNetworkShape:
             replace(net, peephole="none")
         with pytest.raises(ValueError):
             build_network(np.random.default_rng(0), 2, [], 3)
+
+    @pytest.mark.parametrize("input_dim, units, n_classes, message", [
+        (0, (3,), 2, r"input_dim must be >= 1, got 0"),
+        (3, (0,), 2, r"layer_units must hold >= 1 layer of >= 1 unit, got \[0\]"),
+        (3, (3, 0), 2, r"layer_units must hold >= 1 layer of >= 1 unit, got \[3, 0\]"),
+        (3, (), 2, r"layer_units must hold >= 1 layer of >= 1 unit, got \[\]"),
+        (3, (3,), 0, r"n_classes must be >= 1, got 0"),
+    ], ids=["input_dim", "units", "upper_units", "no_layers", "n_classes"])
+    def test_sizes_below_1_are_refused_naming_the_field(self, input_dim, units, n_classes,
+                                                         message):
+        # the layout every constructor and the checkpoint reader go through
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_network(np.random.default_rng(0), input_dim, units, n_classes)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            param_count(input_dim, units, n_classes, "top", "diag")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(tiny_net(seed=43), input_dim=input_dim, layer_units=units,
+                    n_classes=n_classes)
 
     def test_predict_argmax(self):
         net = tiny_net(seed=44)
