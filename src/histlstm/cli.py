@@ -220,9 +220,20 @@ def cmd_eval(cfg: dict) -> int:
     return 0
 
 
-def cmd_cv(cfg: dict) -> int:
+def _cv_data(cfg: dict) -> tuple:
+    """The dataset and fold count of cv and sweep-tau. kfolds must not
+    exceed the sequence count, unless the manifest declares its own folds."""
     k = _at_least(cfg, "kfolds", 2)
     dataset = load_dataset(cfg)
+    if dataset.folds is None and len(dataset) < k:
+        source = f"manifest {cfg['manifest']}" if cfg["manifest"] else "the synth=true corpus"
+        raise UsageError(f"kfolds must be <= {len(dataset)}, the sequence count of {source}, "
+                         f"got {k}")
+    return dataset, k
+
+
+def cmd_cv(cfg: dict) -> int:
+    dataset, k = _cv_data(cfg)
     metrics = cross_validate(dataset, train_config(cfg), k=k, log=print)
     table = confusion_table(metrics)
     _write(os.path.join(cfg["out"], "cv_metrics.txt"), table)
@@ -231,8 +242,7 @@ def cmd_cv(cfg: dict) -> int:
 
 
 def cmd_sweep_tau(cfg: dict) -> int:
-    k = _at_least(cfg, "kfolds", 2)
-    dataset = load_dataset(cfg)
+    dataset, k = _cv_data(cfg)
     base = train_config(cfg)
     rows = []
     for tau in (2, 3, 4, 5):

@@ -17,6 +17,7 @@ independent sequence evaluations never share mutable state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -92,10 +93,13 @@ def compute_alpha(eps_l_prev: float, eps_h: float, policy: str) -> float:
     clamped:      the literal value clipped into [0, 1];
     inverse_loss: eps_l_prev / (eps_l_prev + eps_h), a bounded monotone
                   variant that favors whichever state has the lower loss.
+
+    Both losses must be finite and above 0 (cross_entropy floors them at
+    EPS_LOSS_FLOOR); 0, inf or nan raises ValueError naming both.
     """
-    if eps_l_prev <= 0 or eps_h <= 0:
+    if not (0 < eps_l_prev < math.inf and 0 < eps_h < math.inf):
         raise ValueError(
-            f"losses must be >= {EPS_LOSS_FLOOR} (floored), got "
+            f"losses must be finite and >= {EPS_LOSS_FLOOR} (floored), got "
             f"eps_l_prev={eps_l_prev} eps_h={eps_h}"
         )
     if policy == "inverse_loss":
@@ -198,14 +202,16 @@ def historical_update(
     Appends h_t to the buffer, takes the blend or truncation branch on the
     loss comparison, re-scores the new state through loss_fn, and returns a
     new trace. The truncation branch takes its (state, loss) from trunc if
-    given. A new state that is not finite (the literal alpha can amplify l
-    without bound) raises ValueError.
+    given. An eps_h that is not a finite number > 0, or a new state that is
+    not finite (the literal alpha can amplify l without bound), raises
+    ValueError naming the step.
     """
     if h_t.shape != trace.l.shape:
         raise ShapeError(f"response {h_t.shape} does not match state {trace.l.shape}")
-    if eps_h <= 0:
-        raise ValueError(f"eps_h must be positive (floored), got {eps_h}")
     t = trace.t + 1
+    if not 0 < eps_h < math.inf:
+        raise ValueError(f"eps_h must be finite and positive (floored), got {eps_h} "
+                         f"at step t={t}")
     if eps_h >= trace.eps_l:
         branch, w, trunc = "blend", None, None
         alpha = compute_alpha(trace.eps_l, eps_h, cfg.alpha_policy)

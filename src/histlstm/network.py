@@ -221,13 +221,6 @@ class StackedNetwork:
     def flatten_params(self) -> np.ndarray:
         return self.theta.copy()
 
-    def set_flat(self, theta: np.ndarray) -> None:
-        """Overwrite all parameters in place from a vector in layout order."""
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != self.theta.shape:
-            raise ShapeError(f"parameter vector has shape {theta.shape}, network has {self.theta.shape}")
-        self.theta[...] = theta
-
     def clone(self) -> "StackedNetwork":
         return self.with_params(self.theta.copy())
 

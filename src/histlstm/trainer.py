@@ -182,15 +182,11 @@ def _naming(seq: FeatureSequence, index: int):
         raise type(exc)(f"{seq.id or f'sequence {index}'}: {exc}") from exc
 
 
-def _check_classes(net: StackedNetwork, dataset: Dataset) -> None:
-    if dataset.n_classes > net.n_classes:
-        raise ValueError(f"dataset declares {dataset.n_classes} classes, model has {net.n_classes}")
-
-
 def evaluate(net: StackedNetwork, dataset: Dataset) -> Metrics:
     """Evaluation-mode forward per sequence; argmax prediction with ties
     broken toward the lowest class index."""
-    _check_classes(net, dataset)
+    if dataset.n_classes > net.n_classes:
+        raise ValueError(f"dataset declares {dataset.n_classes} classes, model has {net.n_classes}")
     C = net.n_classes
     confusion = np.zeros((C, C), dtype=np.int64)
     for index, seq in enumerate(dataset):
@@ -230,24 +226,17 @@ def _batch_gradients(
 def train(
     dataset: Dataset,
     cfg: TrainConfig,
-    net: Optional[StackedNetwork] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> tuple:
-    """Epochs of shuffled mini-batches; each step applies Adam at the
-    scheduled rate to the mean per-sequence gradient. Returns the model and
-    training metrics (final training-set accuracy plus the loss curve).
-    The whole run is a deterministic function of (dataset, cfg, net seed).
+    """Epochs of shuffled mini-batches on a network cfg builds for the data;
+    each step applies Adam at the scheduled rate to the mean per-sequence
+    gradient. Returns the model and training metrics (final training-set
+    accuracy plus the loss curve), a deterministic function of (dataset, cfg).
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     rng = np.random.default_rng(cfg.seed)
-    if net is None:
-        net = cfg.build(rng, dataset.dim, dataset.n_classes)
-    if dataset.dim != net.input_dim:
-        raise ShapeError(
-            f"dataset feature dim {dataset.dim} != network input dim {net.input_dim}"
-        )
-    _check_classes(net, dataset)
+    net = cfg.build(rng, dataset.dim, dataset.n_classes)
     state = AdamState.for_network(net)
     curve = []
     step = 0
@@ -372,24 +361,20 @@ class GradCheckReport:
 
 def _block_of(net: StackedNetwork, flat_index: int) -> str:
     """Name of the parameter block holding theta[flat_index]."""
-    pos = 0
-    for name, arr in net.param_blocks():
-        if flat_index < pos + arr.size:
-            return name
-        pos += arr.size
-    return "?"
+    return next(name for name, _, stop, *_ in net._cuts if flat_index < stop)
 
 
-# grad_check's fixed settings: TrainConfig's default loss weights and
-# peephole mode, and the central-difference step.
+# grad_check's fixed settings: TrainConfig's default loss weights, the tiny
+# nets' input width, class count and tau, and the central-difference step.
 GRAD_CHECK_LAMBDA_AUX = TrainConfig.lambda_aux
 GRAD_CHECK_L2 = TrainConfig.l2
-GRAD_CHECK_PEEPHOLE = TrainConfig.peephole
+GRAD_CHECK_INPUT_DIM = 2
+GRAD_CHECK_CLASSES = 3
+GRAD_CHECK_TAU = 2
 GRAD_CHECK_H = 1e-5
 
 
-def _forced_cases(seeds, layer_units, input_dim, n_classes, lengths, tau,
-                  hist_placement, peephole) -> Iterable[tuple]:
+def _forced_cases(seeds, layer_units, lengths, hist_placement, peephole) -> Iterable[tuple]:
     """grad_check's cases: per seed, for every (alpha policy, window mode,
     branch), a tiny random net, sequence and label with head biases forcing
     the intended branch, and the net's training trace on them. Yields
@@ -404,19 +389,19 @@ def _forced_cases(seeds, layer_units, input_dim, n_classes, lengths, tau,
                     rng = np.random.default_rng([seed, case_id])
                     net = build_network(
                         rng,
-                        input_dim,
+                        GRAD_CHECK_INPUT_DIM,
                         layer_units,
-                        n_classes,
+                        GRAD_CHECK_CLASSES,
                         dropout_p=0.0,
                         hist_cfg=HistoricalConfig(
-                            tau=tau, window_mode=mode, alpha_policy=policy
+                            tau=GRAD_CHECK_TAU, window_mode=mode, alpha_policy=policy
                         ),
                         hist_placement=hist_placement,
                         peephole=peephole,
                         use_historical=True,
                     )
-                    X = rng.standard_normal((T, input_dim))
-                    label = int(rng.integers(n_classes))
+                    X = rng.standard_normal((T, GRAD_CHECK_INPUT_DIM))
+                    label = int(rng.integers(GRAD_CHECK_CLASSES))
                     # The literal alpha amplifies the state in the blend
                     # branch, so its forcing stays mild to keep logits in
                     # floating-point range over T steps.
@@ -447,51 +432,18 @@ def _central_differences(net, X, label: int, trace, lambda_aux: float, l2: float
     return (f[:P] - f[P:]) / (2.0 * h)
 
 
-def grad_check(
-    seeds: int = 20,
-    layer_units: Sequence[int] = (3, 3),
-    input_dim: int = 2,
-    n_classes: int = 3,
-    lengths: Sequence[int] = (1, 3, 6),
-    tau: int = 2,
-    hist_placement: str = TrainConfig.hist_placement,
-    tamper: Optional[dict] = None,
-) -> GradCheckReport:
-    """Finite-difference verification of the analytic gradients.
-
-    Per seed, every (alpha policy, window mode, branch) combination runs on
-    a tiny random net and sequence, with head biases forcing the intended
-    branch; the compared function is the replayed forward pass (branch
-    schedule pinned), matching the frozen-coefficient gradient convention.
-    Relative error per coordinate is |a - f| / max(|a|, |f|, 1e-4), so
-    agreement below the finite-difference noise floor counts as exact.
-
-    The central differences of a case run as one stacked replay. Its worst
-    coordinate is recomputed with finite_diff through one replay per call,
-    and a difference beyond 1e-9 * max(1, |fd|) raises RuntimeError.
-
-    tamper maps block-name suffixes to multipliers applied to the analytic
-    gradient, a self-test hook proving the harness flags wrong gradients.
-    """
-    if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
+def _check(forced: Iterable[tuple]) -> GradCheckReport:
+    """The report on the cases in forced, tuples as _forced_cases yields them."""
     t_start = time.perf_counter()
     cases = []
     realized_cover = set()
-    for seed, T, policy, mode, branch, net, X, label, trace0 in _forced_cases(
-        seeds, layer_units, input_dim, n_classes, lengths, tau, hist_placement,
-        GRAD_CHECK_PEEPHOLE,
-    ):
+    for seed, T, policy, mode, branch, net, X, label, trace0 in forced:
         realized = tuple(
             sorted({r.branch for r in trace0.hists[-1].records if r.branch != "init"})
         )
         for b in realized:
             realized_cover.add((policy, mode, b))
         analytic = backward_sequence(net, trace0, label, GRAD_CHECK_LAMBDA_AUX, GRAD_CHECK_L2)
-        for suffix, factor in (tamper or {}).items():
-            for name, block in net.views(analytic).items():
-                if name.endswith(suffix):
-                    block *= factor
         fd = _central_differences(net, X, label, trace0, GRAD_CHECK_LAMBDA_AUX, GRAD_CHECK_L2,
                                   GRAD_CHECK_H)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-4)
@@ -539,3 +491,28 @@ def grad_check(
         elapsed_s=time.perf_counter() - t_start,
         missing_coverage=missing,
     )
+
+
+def grad_check(
+    seeds: int = 20,
+    layer_units: Sequence[int] = (3, 3),
+    lengths: Sequence[int] = (1, 3, 6),
+) -> GradCheckReport:
+    """Finite-difference verification of the analytic gradients.
+
+    Per seed, every (alpha policy, window mode, branch) combination runs on
+    a tiny random net (TrainConfig's placement and peephole mode) and
+    sequence, with head biases forcing the intended branch; the compared
+    function is the replayed forward pass (branch schedule pinned), matching
+    the frozen-coefficient gradient convention. Relative error per
+    coordinate is |a - f| / max(|a|, |f|, 1e-4), so agreement below the
+    finite-difference noise floor counts as exact.
+
+    The central differences of a case run as one stacked replay. Its worst
+    coordinate is recomputed with finite_diff through one replay per call,
+    and a difference beyond 1e-9 * max(1, |fd|) raises RuntimeError.
+    """
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    return _check(_forced_cases(seeds, layer_units, lengths, TrainConfig.hist_placement,
+                                TrainConfig.peephole))

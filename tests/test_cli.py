@@ -3,6 +3,7 @@ config dump, exit codes, and one in-process smoke run per subcommand."""
 
 import inspect
 import os
+import re
 import subprocess
 import sys
 
@@ -266,6 +267,29 @@ class TestExitCodes:
         assert run([command, *synth_args(tmp_path, "--kfolds", "1")]) == 2
         assert capsys.readouterr().err == "error: kfolds must be >= 2, got 1\n"
 
+    @pytest.mark.parametrize("command", ["cv", "sweep-tau"])
+    def test_kfolds_beyond_the_data_exits_2_naming_key_and_source(self, tmp_path, capsys,
+                                                                  command):
+        assert run([command, *synth_args(tmp_path, "--kfolds", "100")]) == 2
+        assert capsys.readouterr().err == ("error: kfolds must be <= 8, the sequence count of "
+                                           "the synth=true corpus, got 100\n")
+
+    def test_kfolds_is_checked_only_without_declared_folds(self, tmp_path, capsys):
+        for i in range(4):
+            write_fseq(str(tmp_path / f"seq{i}.fseq"),
+                       FeatureSequence(frames=np.zeros((3, 2)), label=i % 2))
+        manifest = tmp_path / "manifest.txt"
+        args = ["cv", "--out", str(tmp_path / "out"), "--manifest", str(manifest),
+                "--kfolds", "100", "--layers", "1", "--units", "3", "--epochs", "1"]
+        manifest.write_text("classes 2\n" + "".join(f"seq{i}.fseq {i % 2}\n" for i in range(4)))
+        assert run(args) == 2
+        assert capsys.readouterr().err == (f"error: kfolds must be <= 4, the sequence count of "
+                                           f"manifest {manifest}, got 100\n")
+        manifest.write_text("classes 2\n" + "".join(f"seq{i}.fseq {i % 2} {i // 2}\n"
+                                                     for i in range(4)))
+        assert run(args) == 0
+        assert "per-fold" in (tmp_path / "out" / "cv_metrics.txt").read_text()
+
     def test_gradcheck_zero_seeds_exits_2(self, tmp_path, capsys):
         code = run(["gradcheck", "--out", str(tmp_path / "out"),
                     "--set", "gradcheck_seeds=0"])
@@ -363,6 +387,13 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert proc.stderr.startswith("error: long.fseq: historical state is not finite at step t=")
+
+    def test_infinite_loss_exits_1_naming_loss_step_and_sequence(self, tmp_path, capsys):
+        # one Adam step at lr0=1e300 rounds the label's probability to 0
+        assert run(["train", *synth_args(tmp_path, "--set", "lr0=1e300")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: synth-c\d-\d+: eps_h must be finite and positive "
+                            r"\(floored\), got inf at step t=\d+\n", err), err
 
 
 class TestEffectiveConfig:

@@ -5,6 +5,7 @@ import pytest
 
 from histlstm.cells import HeadParams, head_predict, init_head
 from histlstm.historical import (
+    ALPHA_POLICIES,
     WINDOW_MODES,
     HistoricalConfig,
     HistoricalTrace,
@@ -110,6 +111,14 @@ class TestComputeAlpha:
             compute_alpha(0.0, 1.0, "literal")
         with pytest.raises(ValueError):
             compute_alpha(1.0, -0.5, "clamped")
+
+    @pytest.mark.parametrize("policy", ALPHA_POLICIES)
+    @pytest.mark.parametrize("eps_l_prev, eps_h",
+                             [(math.inf, math.inf), (1.0, math.inf), (math.nan, 1.0)])
+    def test_non_finite_loss_fatal_naming_both(self, policy, eps_l_prev, eps_h):
+        with pytest.raises(ValueError, match=f"^losses must be finite .* got "
+                                             f"eps_l_prev={eps_l_prev} eps_h={eps_h}$"):
+            compute_alpha(eps_l_prev, eps_h, policy)
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
@@ -274,6 +283,15 @@ class TestHistoricalUpdate:
             historical_update(trace, np.zeros(4), 1.0, cfg, lambda v: 1.0)
         with pytest.raises(ValueError):
             historical_update(trace, np.zeros(3), 0.0, cfg, lambda v: 1.0)
+
+    @pytest.mark.parametrize("eps_h", [math.inf, math.nan])
+    def test_non_finite_eps_h_names_the_step(self, eps_h):
+        # unchecked, inf would blend with alpha 0 (clamped) and nan truncate
+        trace = initial_trace(np.zeros(3), lambda v: 1.0)
+        trace = historical_update(trace, np.ones(3), 2.0, HistoricalConfig(), lambda v: 1.0)
+        with pytest.raises(ValueError, match=f"^eps_h must be finite and positive "
+                                             rf"\(floored\), got {eps_h} at step t=3$"):
+            historical_update(trace, np.ones(3), eps_h, HistoricalConfig(), lambda v: 1.0)
 
     def test_trace_bookkeeping(self):
         rng = np.random.default_rng(4)

@@ -369,7 +369,7 @@ class TestTotalLoss:
 
     def test_zero_network_double_ln4(self):
         net = tiny_net(seed=22, n_classes=4)
-        net.set_flat(np.zeros_like(net.flatten_params()))
+        net.theta[...] = 0.0
         X = np.random.default_rng(23).standard_normal((6, 2))
         trace = forward_sequence(net, X, label=1, training=True)
         loss = total_loss(net, trace, 1, lambda_aux=1.0, l2=0.0)
@@ -527,7 +527,7 @@ class TestBackwardSequence:
 
         def loss_at(theta):
             probe = net.clone()
-            probe.set_flat(theta)
+            probe.theta[...] = theta
             trace = forward_sequence(probe, X, label=1, training=True,
                                      replay_from=ref)
             return total_loss(probe, trace, 1, lambda_aux=0.5, l2=0.003)
@@ -547,7 +547,7 @@ class TestBackwardSequence:
 
         def loss_at(theta):
             probe = net.clone()
-            probe.set_flat(theta)
+            probe.theta[...] = theta
             trace = forward_sequence(probe, X, label=2, training=True,
                                      replay_from=ref)
             return total_loss(probe, trace, 2, lambda_aux=0.5, l2=0.0)
@@ -828,10 +828,8 @@ class TestNetworkShape:
         total = sum(arr.size for _, arr in net.param_blocks())
         assert net.flatten_params().size == total
         theta = np.arange(total, dtype=np.float64)
-        net.set_flat(theta)
+        net.theta[...] = theta
         assert np.array_equal(net.flatten_params(), theta)
-        with pytest.raises(ShapeError):
-            net.set_flat(theta[:-1])
 
     def test_blocks_are_views_of_one_vector(self):
         net = tiny_net(seed=41, units=(3, 4), placement="all")
@@ -910,7 +908,7 @@ class TestStackedNetwork:
                 assert (lt.c, lt.tc, lt.gates) == (None,) * 3
             for k, theta in enumerate(thetas):
                 one = net.clone()
-                one.set_flat(theta)
+                one.theta[...] = theta
                 ref = forward_sequence(one, X, label=1, training=True, replay_from=trace)
                 assert abs(losses[k] - total_loss(one, ref, 1, 0.5, 0.004)) < 1e-12
                 assert np.allclose(replayed.final_probs[k], ref.final_probs, rtol=0, atol=1e-12)
@@ -918,7 +916,7 @@ class TestStackedNetwork:
                     assert (probs is None) == (want is None)
                     if want is not None:
                         assert np.allclose(probs[k], want, rtol=0, atol=1e-12)
-            # one vector (P,) views the same parameters as set_flat writes
+            # with_params of one vector (P,) scores like the clone theta was written into
             assert total_loss(one.with_params(theta), ref, 1, 0.5, 0.004) == total_loss(
                 one, ref, 1, 0.5, 0.004)
 
@@ -1014,7 +1012,7 @@ class TestFusedGates:
         net = build_network(np.random.default_rng(seed), self.D, (units,), 3,
                             peephole=peephole)
         rng = np.random.default_rng(seed + 1)
-        net.set_flat(0.6 * rng.standard_normal(net.theta.size))
+        net.theta[...] = 0.6 * rng.standard_normal(net.theta.size)
         return net, rng
 
     @pytest.mark.parametrize("peephole", PEEPHOLE_MODES)

@@ -8,7 +8,7 @@ import pytest
 
 from histlstm import trainer
 from histlstm.dataio import Dataset, FeatureSequence, SynthConfig, synth_keyframe_dataset
-from histlstm.network import forward_sequence, total_loss
+from histlstm.network import backward_sequence, build_network, forward_sequence, total_loss
 from histlstm.numerics import ShapeError, finite_diff
 from histlstm.trainer import (
     AdamState,
@@ -163,7 +163,7 @@ class TestEvaluate:
         ds = separable_dataset(n_per_class=5)
         cfg = tiny_cfg()
         net = cfg.build(np.random.default_rng(0), ds.dim, ds.n_classes)
-        net.set_flat(np.zeros(net.flatten_params().size))
+        net.theta[...] = 0.0
         m = evaluate(net, ds)
         assert m.accuracy == 0.5
         assert np.array_equal(m.confusion, [[5, 0], [5, 0]])
@@ -178,6 +178,11 @@ class TestEvaluate:
         ds = separable_dataset(n_per_class=3)
         net = tiny_cfg().build(np.random.default_rng(0), ds.dim, 1)
         with pytest.raises(ValueError, match="classes"):
+            evaluate(net, ds)
+        ds = synth_keyframe_dataset(SynthConfig(classes=4, dim=3, length=4,
+                                                signal_window=(0, 4), n_per_class=2))
+        net = tiny_cfg().build(np.random.default_rng(0), ds.dim, 2)
+        with pytest.raises(ValueError, match="^dataset declares 4 classes, model has 2$"):
             evaluate(net, ds)
 
 
@@ -247,41 +252,19 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             train(Dataset(sequences=[], n_classes=2), tiny_cfg())
 
-    def test_dim_mismatch_rejected(self):
-        ds = separable_dataset(n_per_class=2)
-        net = tiny_cfg().build(np.random.default_rng(0), ds.dim + 1,
-                               ds.n_classes)
-        with pytest.raises(ShapeError, match="dim"):
-            train(ds, tiny_cfg(), net=net)
-
-    def test_class_count_mismatch_rejected_before_training(self):
-        ds = synth_keyframe_dataset(SynthConfig(classes=4, dim=3, length=4,
-                                                signal_window=(0, 4), n_per_class=2))
-        net = tiny_cfg().build(np.random.default_rng(0), ds.dim, 2)
-        before = net.flatten_params()
-        with pytest.raises(ValueError, match="^dataset declares 4 classes, model has 2$"):
-            train(ds, tiny_cfg(), net=net)
-        assert np.array_equal(net.flatten_params(), before)
-
-    def test_overflow_abort_names_step(self):
+    def test_overflow_abort_names_step(self, monkeypatch):
         # a 1e200 weight keeps the forward pass finite (gates saturate) but
         # overflows the l2 penalty, tripping the non-finite-loss abort
+        def with_huge_weight(*args, **kwargs):
+            net = build_network(*args, **kwargs)
+            net.param_blocks()[0][1][0, 0] = 1e200
+            return net
+
+        monkeypatch.setattr(trainer, "build_network", with_huge_weight)
         ds = separable_dataset(n_per_class=2)
-        cfg = tiny_cfg()
-        net = cfg.build(np.random.default_rng(0), ds.dim, ds.n_classes)
-        net.param_blocks()[0][1][0, 0] = 1e200
         with np.errstate(over="ignore"):
             with pytest.raises(RuntimeError, match="step 0.*non-finite"):
-                train(ds, cfg, net=net)
-
-    def test_provided_net_is_trained_in_place(self):
-        ds = separable_dataset(n_per_class=2)
-        cfg = tiny_cfg(epochs=1)
-        net = cfg.build(np.random.default_rng(9), ds.dim, ds.n_classes)
-        before = net.flatten_params().copy()
-        out, _ = train(ds, cfg, net=net)
-        assert out is net
-        assert not np.array_equal(net.flatten_params(), before)
+                train(ds, tiny_cfg())
 
     def test_log_callback_reports_epochs(self):
         ds = separable_dataset(n_per_class=2)
@@ -392,8 +375,7 @@ class TestCrossValidate:
 
 class TestGradCheck:
     def small_report(self, **kw):
-        args = dict(seeds=2, layer_units=(3,), input_dim=2, n_classes=3,
-                    lengths=(1, 3, 5), tau=2)
+        args = dict(seeds=2, layer_units=(3,), lengths=(1, 3, 5))
         args.update(kw)
         return grad_check(**args)
 
@@ -413,11 +395,16 @@ class TestGradCheck:
             assert "." in case.worst_block
             assert case.realized_branches  # forcing produced real steps
 
-    def test_tampered_gradient_is_flagged(self):
+    def test_tampered_gradient_is_flagged(self, monkeypatch):
         # scaling one analytic block must blow the error far past the gate,
         # proving the harness can actually fail
-        report = self.small_report(seeds=1, lengths=(3,),
-                                   tamper={"final.V": 1.5})
+        def tampered(net, trace, label, lambda_aux, l2):
+            grad = backward_sequence(net, trace, label, lambda_aux, l2)
+            net.views(grad)["final.V"] *= 1.5
+            return grad
+
+        monkeypatch.setattr(trainer, "backward_sequence", tampered)
+        report = self.small_report(seeds=1, lengths=(3,))
         assert report.max_rel_err > 1e-2
         assert not report.ok
 
@@ -431,12 +418,12 @@ class TestGradCheck:
     def test_stacked_differences_equal_finite_diff(self, placement, peephole):
         # every (policy, window mode, intended branch) case of one seed: the
         # one stacked replay gives finite_diff's central differences
-        cases = trainer._forced_cases(1, (3, 3), 2, 3, (3, 6), 2, placement, peephole)
+        cases = trainer._forced_cases(1, (3, 3), (3, 6), placement, peephole)
         for seed, T, policy, mode, branch, net, X, label, trace in cases:
             stacked = trainer._central_differences(net, X, label, trace, 0.5, 0.004, 1e-5)
 
             def loss_at(theta):
-                net.set_flat(theta)
+                net.theta[...] = theta
                 replayed = forward_sequence(net, X, label=label, training=True,
                                             replay_from=trace)
                 return total_loss(net, replayed, label, 0.5, 0.004)
@@ -457,7 +444,11 @@ class TestGradCheck:
                                                r"blend: the stacked central difference"):
             self.small_report(seeds=1, lengths=(3,))
 
-    def test_placement_all_also_checks(self):
-        report = self.small_report(seeds=1, layer_units=(3, 3),
-                                   lengths=(4,), hist_placement="all")
+    @pytest.mark.parametrize("peephole", ["diag", "full"])
+    @pytest.mark.parametrize("placement", ["top", "all"])
+    def test_placement_all_also_checks(self, placement, peephole):
+        # grad_check runs TrainConfig's placement and peephole mode; the
+        # others go through the same harness
+        report = trainer._check(trainer._forced_cases(2, (3, 3), (1, 3, 6), placement, peephole))
         assert report.max_rel_err < 1e-4
+        assert report.missing_coverage == []
