@@ -109,19 +109,21 @@ class LstmState:
 
 
 def matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M v for one matrix (U, U) and vector (U,), or M[k] v[k] for each k of
-    a stack (K, U, U) and (K, U); either way one BLAS matrix-vector product
-    per parameter set."""
+    """M v for one matrix (U, U) and vector (U,), M[k] v[k] for each k of a
+    stack (K, U, U) and (K, U), or M v[b] for each row of a batch (B, U);
+    any way one BLAS matrix-vector product per row, with the bits of M v."""
     return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
 
 
-def peep_apply(P: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Cell-state peephole contribution: elementwise for diag, matvec for full."""
-    return P * c if P.ndim == c.ndim else matvec(P, c)
+def peep_apply(P: np.ndarray, c: np.ndarray, diag: bool) -> np.ndarray:
+    """Cell-state peephole contribution: elementwise for diag, matvec for full.
+    Shapes cannot tell a diagonal P over a batch from a full P, so diag says."""
+    return P * c if diag else matvec(P, c)
 
 
 def head_predict(head: HeadParams, S: np.ndarray) -> np.ndarray:
-    """softmax(c + V s) for one state s (U,), or for each row of a stack (n, U).
+    """softmax(c + V s) for one state s (U,), or for each row of a stack (n, U)
+    or of a batch of them (B, n, U), each (n, U) with the bits of its own call.
 
     A stacked head (V (K, C, U), c (K, C)) scores S (K, U), one state per
     parameter set, or S (K, n, U), a stack of states per parameter set.
@@ -145,11 +147,12 @@ def lstm_step(p: LstmParams, s_prev: LstmState, x: np.ndarray) -> LstmState:
         raise ShapeError(f"input has shape {x.shape}, cell expects {(p.input_dim,)}")
     if s_prev.h.shape != (p.units,):
         raise ShapeError(f"state has shape {s_prev.h.shape}, cell expects {(p.units,)}")
-    i = sigmoid(p.U_i @ x + p.W_i @ s_prev.h + peep_apply(p.P_i, s_prev.c) + p.b_i)
-    f = sigmoid(p.U_f @ x + p.W_f @ s_prev.h + peep_apply(p.P_f, s_prev.c) + p.b_f)
+    diag = p.peephole == "diag"
+    i = sigmoid(p.U_i @ x + p.W_i @ s_prev.h + peep_apply(p.P_i, s_prev.c, diag) + p.b_i)
+    f = sigmoid(p.U_f @ x + p.W_f @ s_prev.h + peep_apply(p.P_f, s_prev.c, diag) + p.b_f)
     g = np.tanh(p.U_c @ x + p.W_c @ s_prev.h + p.b_c)
     c = f * s_prev.c + i * g
-    o = sigmoid(p.U_o @ x + p.W_o @ s_prev.h + peep_apply(p.P_o, c) + p.b_o)
+    o = sigmoid(p.U_o @ x + p.W_o @ s_prev.h + peep_apply(p.P_o, c, diag) + p.b_o)
     h = o * np.tanh(c)
     return LstmState(h=h, c=c)
 

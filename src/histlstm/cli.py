@@ -222,9 +222,13 @@ def cmd_eval(cfg: dict) -> int:
 
 def _cv_data(cfg: dict) -> tuple:
     """The dataset and fold count of cv and sweep-tau. kfolds must not
-    exceed the sequence count, unless the manifest declares its own folds."""
+    exceed the sequence count, unless the manifest declares its own folds,
+    which must then be at least 2."""
     k = _at_least(cfg, "kfolds", 2)
     dataset = load_dataset(cfg)
+    if dataset.folds is not None and len(set(dataset.folds)) < 2:
+        raise UsageError(f"manifest {cfg['manifest']} declares only fold {dataset.folds[0]}; "
+                         "cross-validation needs at least 2 folds")
     if dataset.folds is None and len(dataset) < k:
         source = f"manifest {cfg['manifest']}" if cfg["manifest"] else "the synth=true corpus"
         raise UsageError(f"kfolds must be <= {len(dataset)}, the sequence count of {source}, "

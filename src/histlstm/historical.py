@@ -85,7 +85,7 @@ class HistoricalTrace:
         return len(self.h_buffer)
 
 
-def compute_alpha(eps_l_prev: float, eps_h: float, policy: str) -> float:
+def compute_alpha(eps_l_prev, eps_h, policy: str):
     """Blend weight put on the incoming response.
 
     literal:      0.5 * ln(eps_l_prev / eps_h), which is <= 0 whenever the
@@ -95,18 +95,20 @@ def compute_alpha(eps_l_prev: float, eps_h: float, policy: str) -> float:
                   variant that favors whichever state has the lower loss.
 
     Both losses must be finite and above 0 (cross_entropy floors them at
-    EPS_LOSS_FLOOR); 0, inf or nan raises ValueError naming both.
+    EPS_LOSS_FLOOR); 0, inf or nan raises ValueError naming both. Arrays
+    give each pair's alpha, with the bits of one call per pair.
     """
-    if not (0 < eps_l_prev < math.inf and 0 < eps_h < math.inf):
+    ok = (0 < eps_l_prev) & (eps_l_prev < math.inf) & (0 < eps_h) & (eps_h < math.inf)
+    if not (ok if isinstance(ok, bool) else ok.all()):  # a bool only for two floats
         raise ValueError(
             f"losses must be finite and >= {EPS_LOSS_FLOOR} (floored), got "
             f"eps_l_prev={eps_l_prev} eps_h={eps_h}"
         )
     if policy == "inverse_loss":
         return eps_l_prev / (eps_l_prev + eps_h)
-    alpha = 0.5 * float(np.log(eps_l_prev / eps_h))
+    alpha = 0.5 * np.log(eps_l_prev / eps_h)
     if policy == "clamped":
-        alpha = min(max(alpha, 0.0), 1.0)
+        alpha = np.minimum(np.maximum(alpha, 0.0), 1.0)
     elif policy != "literal":
         raise ValueError(f"unknown alpha policy {policy!r}")
     return alpha
@@ -249,16 +251,17 @@ def replay_update(trace: HistoricalTrace, h_t: np.ndarray, record: StepRecord,
     return _step(trace, h_t, _next_state(trace, h_t, record.alpha, n), record)
 
 
-def inference_losses(step_probs: np.ndarray, policy: str) -> tuple[list, list]:
+def inference_losses(step_probs: np.ndarray, policy: str) -> tuple:
     """Label-free stand-ins at evaluation time: per-step targets y_t and
-    response losses eps_h, read off the (T, C) per-step probabilities.
+    response losses eps_h, read off the per-step probabilities (T, C), or a
+    batch of them (B, T, C), as arrays over the leading axes.
 
     pseudo_label takes y_t = argmax(step_probs[t]); fixed_blend has no
     targets (None) and unit losses, so the blend branch always fires.
     """
     if policy == "fixed_blend":
-        return [None] * len(step_probs), [1.0] * len(step_probs)
+        return None, np.ones(step_probs.shape[:-1])
     if policy != "pseudo_label":
         raise ValueError(f"unknown inference policy {policy!r}")
-    targets = np.argmax(step_probs, axis=1)
-    return targets.tolist(), cross_entropy(step_probs, targets).tolist()
+    targets = np.argmax(step_probs, axis=-1)
+    return targets, cross_entropy(step_probs, targets)

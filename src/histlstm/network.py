@@ -32,12 +32,15 @@ from .historical import (
     WINDOW_MODES,
     HistoricalConfig,
     HistoricalTrace,
+    compute_alpha,
     historical_update,
     inference_losses,
     initial_trace,
     replay_update,
     step_loss,
     truncation_states,
+    truncation_weights,
+    window_mean,
 )
 from .numerics import EPS_LOSS_FLOOR, ShapeError, cross_entropy, sigmoid
 
@@ -298,46 +301,49 @@ class ForwardTrace:
 
 
 def _layer_forward(p: GateBlocks, X: np.ndarray) -> LayerTrace:
-    """One layer over X (T, D), each step's four gates as one (4, U) block;
-    with stacked parameters (leading axis K), X is (T, D) shared by every set
-    or (K, T, D), h is (K, T, U), and the gates and cell states are not kept."""
+    """One layer over X (T, D), each step's four gates as one (4, U) block. For
+    a batch X (B, T, D), or stacked parameters (leading K; X (T, D) or (K, T,
+    D)), h is (B or K, T, U) with each row's own bits, and nothing else is kept."""
     T = X.shape[-2]
     stacked = p.U.ndim == 3
+    diag = p.P.ndim == p.U.ndim  # (…, 3, U) against (…, 3, U, U)
     # Input contributions of every gate and timestep in one call, read as
     # (T, …, 4, U); the recurrent part stays in the loop. It makes one
     # (T, D) @ (D, U) product per gate: at U = 1 a fused (D, 4U) product is
     # a GEMM where those are matrix-vector products, which sum in another order.
     UT = np.swapaxes(p.U.reshape(p.U.shape[:-2] + (4, -1, X.shape[-1])), -1, -2)
-    ZX = X[..., None, :, :] @ UT + p.b.reshape(p.b.shape[:-1] + (4, 1, -1))
+    ZX = X[..., None, :, :] @ UT
+    ZX += p.b.reshape(p.b.shape[:-1] + (4, 1, -1))
     ZX = np.moveaxis(ZX, -2, 0)
     gate_shape = ZX.shape[1:]
     state_shape = gate_shape[:-2] + gate_shape[-1:]
+    rows = len(state_shape) > 1  # a batch or a stack
     H = np.empty((T,) + state_shape)
-    if stacked:
+    if rows:
         C = TC = G = None
     else:
         C, TC, G = np.empty(H.shape), np.empty(H.shape), np.empty(ZX.shape)
     P_if, P_o = (p.P[:, :2], p.P[:, 2]) if stacked else (p.P[:2], p.P[2])
     h = np.zeros(state_shape)
     c = np.zeros(state_shape)
-    mv = matvec if stacked else operator.matmul  # W @ h, without matvec's call
+    mv = matvec if rows else operator.matmul  # W @ h, without matvec's call
     for t in range(T):
         z = ZX[t] + mv(p.W, h).reshape(gate_shape)
-        i_f = sigmoid(z[..., :2, :] + peep_apply(P_if, c[..., None, :]))
+        i_f = sigmoid(z[..., :2, :] + peep_apply(P_if, c[..., None, :], diag))
         i, f = i_f[..., 0, :], i_f[..., 1, :]
         g = np.tanh(z[..., 2, :])
         c = f * c + i * g
-        o = sigmoid(z[..., 3, :] + peep_apply(P_o, c))
+        o = sigmoid(z[..., 3, :] + peep_apply(P_o, c, diag))
         tc = np.tanh(c)
         h = o * tc
         H[t] = h
-        if not stacked:
+        if not rows:
             G[t, :2] = i_f
             G[t, 2] = g
             G[t, 3] = o
             C[t] = c
             TC[t] = tc
-    if stacked:  # the stack axis goes first again
+    if rows:  # the batch or stack axis goes first again
         H = np.moveaxis(H, 0, 1)
     return LayerTrace(x=X, h=H, c=C, tc=TC, gates=G)
 
@@ -370,16 +376,17 @@ def _run_historical(
             hist = replay_update(hist, steps[t], replay_records[t], cfg)
         return hist
     if label is not None:
+        ys, eps_h = label, cross_entropy(step_probs, label)
         targets = [label] * len(H)
-        eps_h = cross_entropy(step_probs, label).tolist()
     else:
-        targets, eps_h = inference_losses(step_probs, cfg.inference_policy)
+        ys, eps_h = inference_losses(step_probs, cfg.inference_policy)
+        targets = [None] * len(H) if ys is None else ys.tolist()
+    eps_h = eps_h.tolist()
     scorers = [(lambda s: 1.0) if y is None else partial(step_loss, l_head, label=y)
                for y in targets]
     S = None
-    if cfg.window_mode == "sliding" and targets[0] is not None:  # fixed_blend never truncates
+    if cfg.window_mode == "sliding" and ys is not None:  # fixed_blend never truncates
         S = truncation_states(H, cfg.tau)
-        ys = label if label is not None else np.array(targets)
         # (T, 1, U): one matrix-vector product per row, the bits of
         # step_loss; a (T, U) @ (U, C) product sums in another order.
         S_loss = cross_entropy(head_predict(l_head, S[:, None, :])[:, 0], ys).tolist()
@@ -390,6 +397,49 @@ def _run_historical(
         trunc = None if S is None else (S[t], S_loss[t])
         hist = historical_update(hist, H[t], eps_h[t], cfg, scorers[t], trunc)
     return hist
+
+
+def _eval_historical(net: StackedNetwork, k: int, H: np.ndarray, step_probs: np.ndarray):
+    """_run_historical's evaluation-mode pass over each row of H (B, T, U),
+    scored by step_probs (B, T, C): L (B, T, U) holds l_1..l_T, each row bit
+    for bit, and no records. Each step updates every row and keeps its branch
+    by mask; a rescoring and a new state's loss are one (B, 1, U) head call
+    each (a (B, U) @ (U, C) product sums in another order), and a literal
+    window, one length in every row, is one window_mean over a slice of H."""
+    l_head = net.scorers[k][1]
+    cfg = net.hist_cfg
+    ys, eps_h = inference_losses(step_probs, cfg.inference_policy)
+
+    def loss(S, t):  # each row's step_loss against its y_t
+        return cross_entropy(head_predict(l_head, S[:, None, :])[:, 0], ys[:, t])
+
+    S = None
+    if cfg.window_mode == "sliding" and ys is not None:  # fixed_blend never truncates
+        S = truncation_states(H, cfg.tau)
+        S_loss = cross_entropy(head_predict(l_head, S[:, :, None, :])[:, :, 0], ys)
+    L = H.copy()  # l_1 = h_1
+    eps_l = np.ones(len(H)) if ys is None else loss(H[:, 0], 0)
+    changed = None if ys is None else ys[:, 1:] != ys[:, :-1]
+    for t in range(1, H.shape[1]):
+        if changed is not None and changed[:, t - 1].any():
+            eps_l = np.where(changed[:, t - 1], loss(L[:, t - 1], t), eps_l)
+        blend = eps_h[:, t] >= eps_l  # an infinite eps_h blends: compute_alpha rejects it
+        if not blend.all():
+            n = len(truncation_weights(t + 1, cfg.tau, cfg.window_mode))
+            l = S[:, t] if S is not None else window_mean(np.swapaxes(H[:, t + 1 - n:t + 1], 0, 1))
+        if blend.any():
+            alpha = np.zeros(len(H))
+            alpha[blend] = compute_alpha(eps_l[blend], eps_h[blend, t], cfg.alpha_policy)
+            mix = alpha[:, None] * H[:, t] + (1.0 - alpha)[:, None] * L[:, t - 1]
+            l = mix if blend.all() else np.where(blend[:, None], mix, l)
+        if not np.isfinite(l).all():
+            raise ValueError(f"historical state is not finite at step t={t + 1}")
+        L[:, t] = l
+        if S is not None:  # a sliding truncation state comes scored
+            eps_l = np.where(blend, loss(l, t), S_loss[:, t]) if blend.any() else S_loss[:, t]
+        elif ys is not None:
+            eps_l = loss(l, t)
+    return L
 
 
 def forward_sequence(
@@ -476,6 +526,26 @@ def forward_sequence(
         final_src=final_src,
         final_probs=final_probs,
     )
+
+
+def eval_final_probs(net: StackedNetwork, X) -> np.ndarray:
+    """final_probs (B, C) of the evaluation-mode forward_sequence over each
+    row of X (B, T, D), bit for bit: the layers run as one batch and the
+    historical recursion as _eval_historical. Whatever would stop one row's
+    forward_sequence raises a ValueError here too, though not that call's."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 3 or min(X.shape[:2]) < 1 or X.shape[2] != net.input_dim or net.stack_shape:
+        raise ShapeError(f"a batch runs one parameter set over (B, T, {net.input_dim}) "
+                         f"features with B, T >= 1, got {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("batch contains non-finite features")
+    for k, scorer in enumerate(net.scorers):  # X becomes each layer's output
+        X = _layer_forward(net.gates[k], X).h
+        if scorer is not None:
+            probs = head_predict(scorer[0], X)
+            if k in net.scored:
+                X = _eval_historical(net, k, X, probs)
+    return head_predict(net.final_head, X[:, -1:])[:, 0]
 
 
 def _ce_logit_grad(probs: np.ndarray, label: int) -> np.ndarray:
@@ -582,7 +652,7 @@ def _layer_backward(
     np.multiply(lt.tc, lt.tc, out=F[:, 2])
     np.subtract(1.0, F[:, 2], out=F[:, 2])
     WT = np.swapaxes(p.W.reshape(4, U, U), -1, -2)
-    diag = p.P.ndim == 2
+    diag = p.P.ndim == p.U.ndim
     PT = p.P if diag else np.swapaxes(p.P, -1, -2)
     PT_if, PT_o = PT[:2], PT[2]
     dh_carry = np.zeros(U)
@@ -593,13 +663,13 @@ def _layer_backward(
         o = G[t, 3]
         dzo = dh * lt.tc[t] * o * dz[3]
         dc = dc_carry + dh * o * F[t, 2]
-        dc = dc + peep_apply(PT_o, dzo)
+        dc = dc + peep_apply(PT_o, dzo, diag)
         dz[:2] = dc * F[t, :2] * G[t, :2] * dz[:2]
         dz[2] = dc * G[t, 0] * dz[2]
         dz[3] = dzo
         q = matvec(WT, dz)
         dh_carry = q[0] + q[1] + q[2] + q[3]
-        q = peep_apply(PT_if, dz[:2])
+        q = peep_apply(PT_if, dz[:2], diag)
         dc_carry = dc * G[t, 1] + (q[0] + q[1])
     # Peephole gradients, each step's term added in descending t. The loop
     # no longer reads F, so the diagonal terms overwrite it.

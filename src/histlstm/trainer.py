@@ -20,6 +20,7 @@ from .network import (
     StackedNetwork,
     backward_sequence,
     build_network,
+    eval_final_probs,
     forward_sequence,
     total_loss,
 )
@@ -182,18 +183,34 @@ def _naming(seq: FeatureSequence, index: int):
         raise type(exc)(f"{seq.id or f'sequence {index}'}: {exc}") from exc
 
 
+EVAL_STEP_BUDGET = 960  # evaluate's batches: max(1, EVAL_STEP_BUDGET // T) rows of length T
+
+
 def evaluate(net: StackedNetwork, dataset: Dataset) -> Metrics:
-    """Evaluation-mode forward per sequence; argmax prediction with ties
-    broken toward the lowest class index."""
+    """Evaluation-mode prediction per sequence, the argmax with ties broken
+    toward the lowest class index. Sequences of one length run as row
+    batches (eval_final_probs), bit for bit the per-sequence forward; if a
+    batch raises ValueError, the per-sequence loop reruns in dataset order
+    and raises the first error, named by its sequence."""
     if dataset.n_classes > net.n_classes:
         raise ValueError(f"dataset declares {dataset.n_classes} classes, model has {net.n_classes}")
     C = net.n_classes
     confusion = np.zeros((C, C), dtype=np.int64)
+    by_length, labels = {}, dataset.labels()
     for index, seq in enumerate(dataset):
-        with _naming(seq, index):
-            trace = forward_sequence(net, seq.frames, training=False)
-        pred = int(np.argmax(trace.final_probs))
-        confusion[seq.label, pred] += 1
+        by_length.setdefault(len(seq.frames), []).append(index)
+    try:
+        for T, group in by_length.items():
+            rows = max(1, EVAL_STEP_BUDGET // max(T, 1))
+            for idx in (group[lo:lo + rows] for lo in range(0, len(group), rows)):
+                probs = eval_final_probs(net, np.stack([dataset.sequences[i].frames for i in idx]))
+                np.add.at(confusion, (labels[idx], np.argmax(probs, axis=1)), 1)
+    except ValueError:
+        confusion[...] = 0
+        for index, seq in enumerate(dataset):
+            with _naming(seq, index):
+                trace = forward_sequence(net, seq.frames, training=False)
+            confusion[seq.label, int(np.argmax(trace.final_probs))] += 1
     total = int(confusion.sum())
     accuracy = float(np.trace(confusion) / total) if total else 0.0
     return Metrics(accuracy=accuracy, confusion=confusion)

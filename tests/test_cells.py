@@ -11,6 +11,8 @@ from histlstm.cells import (
     init_head,
     init_lstm_params,
     lstm_step,
+    matvec,
+    peep_apply,
 )
 from histlstm.numerics import ShapeError, sigmoid
 
@@ -67,6 +69,16 @@ class TestHeadPredict:
             assert np.array_equal(P, E / E.sum(axis=1, keepdims=True))
             for h, p in zip(H, P):
                 assert np.allclose(p, head_predict(head, h), rtol=0.0, atol=1e-15)
+            # a batch of stacks (B, T, U) and of states (B, 1, U): each row
+            # has the bits of its own call
+            B = int(rng.integers(1, 9))
+            batch = rng.standard_normal((B, T, U))
+            P = head_predict(head, batch)
+            for b in range(B):
+                assert np.array_equal(P[b], head_predict(head, batch[b]))
+            P = head_predict(head, batch[:, -1:])
+            for b in range(B):
+                assert np.array_equal(P[b, 0], head_predict(head, batch[b, -1]))
 
     def test_stacked_head_scores_with_each_parameter_set(self):
         rng = np.random.default_rng(13)
@@ -88,6 +100,38 @@ class TestHeadPredict:
         H[2, 1] = np.nan
         with pytest.raises(ValueError, match="softmax input must be finite"):
             head_predict(head, H)
+
+
+class TestRowBatches:
+    """One parameter set applied to a batch of states (B, ..., U) gives each
+    row the bits of its own call."""
+
+    def test_matvec_rows_equal_one_product_each(self):
+        rng = np.random.default_rng(15)
+        for U in (1, 2, 3, 8, 24):
+            for B in (1, 2, 32):
+                M, V = rng.standard_normal((4 * U, U)), rng.standard_normal((B, U))
+                out = matvec(M, V)
+                assert out.shape == (B, 4 * U)
+                for b in range(B):
+                    assert np.array_equal(out[b], matvec(M, V[b]))
+                    assert np.array_equal(out[b], M @ V[b])
+
+    @pytest.mark.parametrize("diag", [True, False])
+    def test_peep_apply_rows_in_both_modes(self, diag):
+        rng = np.random.default_rng(16)
+        for U in (1, 2, 3, 24):
+            for B in (1, 2, 32):
+                # the input/forget pair against (B, 1, U), and one P against (B, U)
+                P_if = rng.standard_normal((2, U) if diag else (2, U, U))
+                P_o = rng.standard_normal((U,) if diag else (U, U))
+                c = rng.standard_normal((B, U))
+                both, one = peep_apply(P_if, c[:, None, :], diag), peep_apply(P_o, c, diag)
+                assert both.shape == (B, 2, U) and one.shape == (B, U)
+                for b in range(B):
+                    assert np.array_equal(both[b], peep_apply(P_if, c[b][None, :], diag))
+                    assert np.array_equal(one[b], peep_apply(P_o, c[b], diag))
+                    assert np.array_equal(one[b], P_o * c[b] if diag else P_o @ c[b])
 
 
 class TestLstmStep:

@@ -290,6 +290,19 @@ class TestExitCodes:
         assert run(args) == 0
         assert "per-fold" in (tmp_path / "out" / "cv_metrics.txt").read_text()
 
+    @pytest.mark.parametrize("command", ["cv", "sweep-tau"])
+    def test_one_declared_fold_exits_2_naming_manifest_and_fold(self, tmp_path, capsys,
+                                                                 command):
+        for i in range(4):
+            write_fseq(str(tmp_path / f"seq{i}.fseq"),
+                       FeatureSequence(frames=np.zeros((3, 2)), label=i % 2))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("classes 2\n" + "".join(f"seq{i}.fseq {i % 2} 3\n" for i in range(4)))
+        assert run([command, "--out", str(tmp_path / "out"), "--manifest", str(manifest),
+                    "--layers", "1", "--units", "3", "--epochs", "1"]) == 2
+        assert capsys.readouterr().err == (f"error: manifest {manifest} declares only fold 3; "
+                                           f"cross-validation needs at least 2 folds\n")
+
     def test_gradcheck_zero_seeds_exits_2(self, tmp_path, capsys):
         code = run(["gradcheck", "--out", str(tmp_path / "out"),
                     "--set", "gradcheck_seeds=0"])

@@ -106,6 +106,23 @@ class TestComputeAlpha:
             assert 0.0 < a < 1.0
             assert abs(a - el / (el + eh)) == 0.0
 
+    @pytest.mark.parametrize("policy", ALPHA_POLICIES)
+    def test_arrays_give_each_pair_bitwise(self, policy):
+        rng = np.random.default_rng(1)
+        el = np.exp(rng.uniform(-14.0, 3.0, 500))
+        eh = np.exp(rng.uniform(-14.0, 3.0, 500))
+        el[:5] = eh[:5]  # equal losses: alpha 0 or 0.5
+        alphas = compute_alpha(el, eh, policy)
+        assert alphas.shape == (500,)
+        for a, l, h in zip(alphas.tolist(), el.tolist(), eh.tolist()):
+            assert a == compute_alpha(l, h, policy)
+            assert a == ({"literal": 0.5 * float(np.log(l / h)),
+                          "clamped": min(max(0.5 * float(np.log(l / h)), 0.0), 1.0),
+                          "inverse_loss": l / (l + h)}[policy])
+        el[7] = np.inf
+        with pytest.raises(ValueError, match="^losses must be finite"):
+            compute_alpha(el, eh, policy)
+
     def test_nonpositive_loss_fatal(self):
         with pytest.raises(ValueError):
             compute_alpha(0.0, 1.0, "literal")
@@ -600,13 +617,23 @@ class TestInferenceLosses:
         probs = rng.dirichlet(np.ones(3), size=6)
         probs[5] = [0.4, 0.4, 0.2]  # a tie goes to the lowest class
         targets, eps_h = inference_losses(probs, "pseudo_label")
-        assert targets == [int(np.argmax(p)) for p in probs]
+        assert targets.tolist() == [int(np.argmax(p)) for p in probs]
         assert targets[5] == 0
-        assert eps_h == [cross_entropy(p, y) for p, y in zip(probs, targets)]
+        assert eps_h.tolist() == [cross_entropy(p, y) for p, y in zip(probs, targets.tolist())]
+        # a batch (B, T, C): each row's targets and losses, bit for bit
+        batch = rng.dirichlet(np.ones(3), size=(4, 6))
+        batch[2, 1] = [0.3, 0.3, 0.4]
+        targets, eps_h = inference_losses(batch, "pseudo_label")
+        for b, probs in enumerate(batch):
+            row_targets, row_eps_h = inference_losses(probs, "pseudo_label")
+            assert np.array_equal(targets[b], row_targets)
+            assert np.array_equal(eps_h[b], row_eps_h)
 
     def test_fixed_blend_unit_losses(self):
-        probs = np.random.default_rng(9).dirichlet(np.ones(2), size=3)
-        assert inference_losses(probs, "fixed_blend") == ([None] * 3, [1.0] * 3)
+        probs = np.random.default_rng(9).dirichlet(np.ones(2), size=(5, 3))
+        for p in (probs[0], probs):
+            targets, eps_h = inference_losses(p, "fixed_blend")
+            assert targets is None and np.array_equal(eps_h, np.ones(p.shape[:-1]))
 
     def test_historical_predicting_pseudo_label_better_blends(self):
         # per-step head mildly prefers class 0; final head strongly does
@@ -647,7 +674,7 @@ class TestInvariantsAndDegenerate:
         hs = [rng.standard_normal(4) for _ in range(9)]
         probs = np.stack([head_predict(psh, h) for h in hs])
         targets, eps_h = inference_losses(probs, "fixed_blend")
-        assert targets == [None] * 9 and eps_h == [1.0] * 9
+        assert targets is None and eps_h.tolist() == [1.0] * 9
         trace = initial_trace(hs[0], lambda v: 1.0)
         for t in range(1, 9):
             trace = historical_update(trace, hs[t], eps_h[t], cfg, lambda v: 1.0)

@@ -944,12 +944,13 @@ def per_gate_forward(p, X):
     H, C, TC, I, F, G, O = (np.empty(zx_i.shape) for _ in range(7))
     h = np.zeros(p.units)
     c = np.zeros(p.units)
+    diag = p.peephole == "diag"
     for t in range(len(X)):
-        i = sigmoid(zx_i[t] + p.W_i @ h + peep_apply(p.P_i, c))
-        f = sigmoid(zx_f[t] + p.W_f @ h + peep_apply(p.P_f, c))
+        i = sigmoid(zx_i[t] + p.W_i @ h + peep_apply(p.P_i, c, diag))
+        f = sigmoid(zx_f[t] + p.W_f @ h + peep_apply(p.P_f, c, diag))
         g = np.tanh(zx_c[t] + p.W_c @ h)
         c = f * c + i * g
-        o = sigmoid(zx_o[t] + p.W_o @ h + peep_apply(p.P_o, c))
+        o = sigmoid(zx_o[t] + p.W_o @ h + peep_apply(p.P_o, c, diag))
         tc = np.tanh(c)
         h = o * tc
         H[t], I[t], F[t], G[t], O[t], C[t], TC[t] = h, i, f, g, o, c, tc
@@ -1052,6 +1053,22 @@ class TestFusedGates:
                 for k, theta in enumerate(stack.theta):  # row k: set k's own per-gate loop
                     want, *_ = per_gate_forward(lstm_params(net, 0, theta), X[k] if X.ndim == 3 else X)
                     assert np.array_equal(lt.h[k], want), (T, k)
+
+    @pytest.mark.parametrize("peephole", PEEPHOLE_MODES)
+    @pytest.mark.parametrize("units", [1, 2, 3, 24])
+    def test_row_batch_matches_the_per_gate_loop(self, units, peephole):
+        # one parameter set over a batch (B, T, D): row b has the bits of its
+        # own per-gate loop, and no BPTT arrays are kept; units=2 puts a
+        # diagonal P (2, U) next to a square full one
+        net, rng = self.layer(units, peephole, seed=90 + units)
+        p = lstm_params(net, 0)
+        for T, B in ((1, 5), (6, 3), (30, 32), (480, 2)):
+            X = rng.standard_normal((B, T, self.D))
+            lt = _layer_forward(net.gates[0], X)
+            assert lt.h.shape == (B, T, units) and (lt.c, lt.tc, lt.gates) == (None,) * 3
+            for b in range(B):
+                want, *_ = per_gate_forward(p, X[b])
+                assert np.array_equal(lt.h[b], want), (T, b)
 
     def test_gate_blocks_are_the_named_blocks_side_by_side(self):
         for peephole in PEEPHOLE_MODES:

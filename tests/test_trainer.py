@@ -8,7 +8,10 @@ import pytest
 
 from histlstm import trainer
 from histlstm.dataio import Dataset, FeatureSequence, SynthConfig, synth_keyframe_dataset
-from histlstm.network import backward_sequence, build_network, forward_sequence, total_loss
+from histlstm.historical import (ALPHA_POLICIES, INFERENCE_POLICIES, WINDOW_MODES,
+                                 HistoricalConfig)
+from histlstm.network import (backward_sequence, build_network, eval_final_probs,
+                              forward_sequence, total_loss)
 from histlstm.numerics import ShapeError, finite_diff
 from histlstm.trainer import (
     AdamState,
@@ -195,6 +198,136 @@ class TestEvaluate:
         ds.sequences[1].id = ""
         with pytest.raises(ValueError, match="^sequence 1: sequence contains non-finite"):
             evaluate(net, ds)
+
+
+def per_sequence_confusion(net, ds):
+    confusion = np.zeros((net.n_classes,) * 2, dtype=np.int64)
+    for seq in ds:
+        confusion[seq.label, int(np.argmax(forward_sequence(net, seq.frames).final_probs))] += 1
+    return confusion
+
+
+def mixed_length_dataset(seed, n_classes=3, dim=3):
+    """7 sequences at each of T = 1, 2, 5, 9 and 17, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.permutation(np.repeat([1, 2, 5, 9, 17], 7))
+    return Dataset([FeatureSequence(frames=2.0 * rng.standard_normal((T, dim)),
+                                    label=int(rng.integers(n_classes)), id=f"s{i}")
+                    for i, T in enumerate(lengths)], n_classes=n_classes)
+
+
+class TestBatchedEvaluate:
+    """evaluate's row batches against the per-sequence forward, bit for bit."""
+
+    BUDGET = 12  # T=2 splits 7 rows into 6 + 1; T=17 still runs one row
+
+    def net(self, seed, placement="all", peephole="diag", use_historical=True, **hist):
+        # random heads without biases make the recursion blend, truncate and
+        # change its pseudo-labels
+        rng = np.random.default_rng(seed)
+        net = build_network(rng, 3, (4, 3), 3, hist_cfg=HistoricalConfig(tau=2, **hist),
+                            hist_placement=placement, peephole=peephole,
+                            use_historical=use_historical)
+        net.theta[...] = rng.standard_normal(net.theta.size)
+        for scorer in filter(None, net.scorers):
+            scorer[0].c[...] = 0.0
+            scorer[0].V[...] *= 3.0
+        return net
+
+    def check(self, net, monkeypatch):
+        ds = mixed_length_dataset(seed=len(net.theta))
+        by_length = {}
+        for seq in ds:
+            by_length.setdefault(seq.T, []).append(seq)
+        for T, group in by_length.items():
+            probs = eval_final_probs(net, np.stack([seq.frames for seq in group]))
+            for p, seq in zip(probs, group):
+                assert np.array_equal(p, forward_sequence(net, seq.frames).final_probs), T
+        chunks = []
+
+        def spy(net, X):
+            chunks.append(X.shape[:2])
+            return eval_final_probs(net, X)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate fell back to the per-sequence loop")
+
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "EVAL_STEP_BUDGET", self.BUDGET)
+            m.setattr(trainer, "eval_final_probs", spy)
+            m.setattr(trainer, "forward_sequence", refuse)
+            metrics = evaluate(net, ds)
+        assert np.array_equal(metrics.confusion, per_sequence_confusion(net, ds))
+        assert sorted(chunks) == sorted([(7, 1), (6, 2), (1, 2), (2, 5), (2, 5), (2, 5), (1, 5)]
+                                        + [(1, 9)] * 7 + [(1, 17)] * 7)
+        # what the reference did: its branches, and its pseudo-label changes
+        branches, changes = set(), 0
+        for seq in ds:
+            trace = forward_sequence(net, seq.frames)
+            for k in net.scored:
+                branches |= {r.branch for r in trace.hists[k].records}
+                y = np.argmax(trace.probs[k], axis=1)
+                changes += int(np.count_nonzero(y[1:] != y[:-1]))
+        return branches, changes
+
+    @pytest.mark.parametrize("inference", INFERENCE_POLICIES)
+    @pytest.mark.parametrize("window", WINDOW_MODES)
+    @pytest.mark.parametrize("alpha", ALPHA_POLICIES)
+    def test_policies(self, alpha, window, inference, monkeypatch):
+        net = self.net(seed=len(alpha) + 10 * len(window), alpha_policy=alpha,
+                       window_mode=window, inference_policy=inference)
+        with np.errstate(divide="ignore"):  # the literal alpha drives some p to 0
+            branches, changes = self.check(net, monkeypatch)
+        assert "blend" in branches and changes > 0
+        assert ("trunc" in branches) == (inference == "pseudo_label")
+
+    @pytest.mark.parametrize("peephole", ["diag", "full"])
+    @pytest.mark.parametrize("placement", ["top", "all"])
+    def test_placements_and_peepholes(self, placement, peephole, monkeypatch):
+        net = self.net(seed=1, placement=placement, peephole=peephole,
+                       alpha_policy="inverse_loss")
+        branches, changes = self.check(net, monkeypatch)
+        assert {"blend", "trunc"} <= branches and changes > 0
+
+    def test_without_historical_layer(self, monkeypatch):
+        assert self.check(self.net(seed=4, use_historical=False), monkeypatch) == (set(), 0)
+
+    def test_empty_dataset_reads_zero(self):
+        m = evaluate(self.net(seed=5), Dataset([], n_classes=3))
+        assert m.accuracy == 0.0 and not m.confusion.any()
+
+    def overflow_dataset(self):
+        """Four T=400 sequences in one batch: the constant frames of rows 0,
+        2 and 3 make the per-step head predict class 1, so the historical
+        state truncates; row 1's predict class 0, which the final head
+        favors, so the literal alpha (about -7.5) blends until l overflows."""
+        net = build_network(np.random.default_rng(0), 1, (1,), 20, dropout_p=0.0,
+                            hist_cfg=HistoricalConfig(alpha_policy="literal"))
+        net.theta[...] = 0.0
+        net.gates[0].U[...] = 1.0
+        net.per_step_head.V[1] = 5.0
+        net.final_head.c[0] = 50.0
+        frames = [np.full((400, 1), v) for v in (1.0, -1.0, 1.0, 1.0)]
+        return net, Dataset([FeatureSequence(frames=f, label=0, id=f"row{i}")
+                             for i, f in enumerate(frames)], n_classes=20)
+
+    def test_first_error_in_dataset_order_is_raised(self):
+        net, ds = self.overflow_dataset()
+        for nan_row in (False, True):
+            if nan_row:
+                ds.sequences[3].frames[7, 0] = np.nan
+            expected = None
+            with np.errstate(over="ignore", invalid="ignore"):
+                for seq in ds:
+                    try:
+                        forward_sequence(net, seq.frames)
+                    except ValueError as exc:
+                        expected = f"{seq.id}: {exc}"
+                        break
+                assert expected.startswith("row1: historical state is not finite at step t=")
+                with pytest.raises(ValueError) as caught:
+                    evaluate(net, ds)
+            assert str(caught.value) == expected
 
 
 class TestBatchGradients:
