@@ -14,10 +14,11 @@ benchmark was built and are refused, and so is a tag whose BENCH_<tag>.json
 already exists.
 
 The output holds both commits, the machine, each side's `wc -l
-src/histlstm/*.py` total, every pair's end-to-end values, failed counts and
-round digests, `outputs_identical` (every pair's base and change rounds gave
-the same digests), and per metric (as BENCHMARK.json declares it) both sides'
-medians and quartiles, the change's win count, and two verdicts:
+src/histlstm/*.py` total and per-file counts (`src_lines`, `src_file_lines`),
+every pair's end-to-end values, failed counts and round digests,
+`outputs_identical` (every pair's base and change rounds gave the same
+digests), and per metric (as BENCHMARK.json declares it) both sides' medians
+and quartiles, the change's win count, and two verdicts:
 
 - the gain rule: the change better in at least 9 of 10 pairs and the
   medians apart by more than the base's interquartile range;
@@ -110,9 +111,15 @@ def quartiles(values: list) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def src_file_lines(tree: Path) -> dict:
+    """`wc -l src/histlstm/*.py` of a tree: each file's newline count, by name."""
+    return {p.name: p.read_bytes().count(b"\n")
+            for p in sorted((tree / "src" / "histlstm").glob("*.py"))}
+
+
 def src_lines(tree: Path) -> int:
-    """`wc -l src/histlstm/*.py` of a tree: its newline count."""
-    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "histlstm").glob("*.py"))
+    """The total of src_file_lines."""
+    return sum(src_file_lines(tree).values())
 
 
 def outputs_identical(pairs: list) -> bool:
@@ -194,6 +201,7 @@ def main(argv=None) -> int:
         "base": {"commit": base_commit},
         "change": change,
         "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
+        "src_file_lines": {side: src_file_lines(tree) for side, tree in sides.items()},
         "machine": {
             "platform": platform.platform(),
             **{k: v for k, v in environment.items()

@@ -67,46 +67,45 @@ FLAG_KEYS = ("seed", "tau", "alpha_policy", "window_mode", "inference_policy",
              "checkpoint", "kfolds")
 
 
-def _convert(key: str, raw: str):
+def _assign(item: str, where: str) -> tuple:
+    """The key and converted value of one key=value item, a config file line
+    or a --set item; where (path:line or --set) starts every error."""
+    if "=" not in item:
+        raise UsageError(f"{where}: expected key=value, got {item!r}")
+    key, raw = (s.strip() for s in item.split("=", 1))
+    if key not in DEFAULTS:
+        raise UsageError(f"{where}: unknown key {key!r}")
     default = DEFAULTS[key]
     try:
         if isinstance(default, bool):
-            low = raw.strip().lower()
+            low = raw.lower()
             if low not in ("true", "false"):
                 raise ValueError(f"expected true/false, got {raw!r}")
-            return low == "true"
+            return key, low == "true"
         if isinstance(default, int):
-            return int(raw)
+            return key, int(raw)
         if isinstance(default, float):
-            return float(raw)
+            return key, float(raw)
         if "\x00" in raw:  # no file name or path can hold one
             raise ValueError("contains a NUL byte")
-        return raw
+        return key, raw
     except ValueError as exc:
-        raise UsageError(f"bad value for {key}: {exc}") from None
+        raise UsageError(f"{where}: bad value for {key}: {exc}") from None
 
 
 def parse_config_file(path: str) -> dict:
-    out = {}
     try:
         lines = read_lines(path)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    out = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {text!r}")
-        key, raw = (s.strip() for s in text.split("=", 1))
-        if key not in DEFAULTS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            out[key] = _convert(key, raw)
-        except UsageError as exc:
-            raise UsageError(f"{path}:{lineno}: {exc}") from None
+        if text:
+            key, value = _assign(text, f"{path}:{lineno}")
+            out[key] = value
     return out
 
 
@@ -119,13 +118,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             cfg[key] = flag_val
-    for item in getattr(args, "set", None) or []:
-        if "=" not in item:
-            raise UsageError(f"--set needs key=value, got {item!r}")
-        key, raw = (s.strip() for s in item.split("=", 1))
-        if key not in DEFAULTS:
-            raise UsageError(f"--set: unknown key {key!r}")
-        cfg[key] = _convert(key, raw)
+    cfg.update(_assign(item, "--set") for item in getattr(args, "set", None) or [])
     if not cfg["out"]:
         raise UsageError("out must name a directory, got ''")
     return cfg

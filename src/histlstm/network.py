@@ -68,6 +68,24 @@ CHECKPOINT_TAGS = (
 )
 
 
+def _check_units(layer_units: Sequence[int]) -> None:
+    if not layer_units or min(layer_units) < 1:
+        raise ValueError(f"layer_units must hold >= 1 layer of >= 1 unit, got {list(layer_units)}")
+
+
+def check_options(layer_units: Sequence[int], dropout_p: float, hist_placement: str,
+                  peephole: str) -> None:
+    """The checks of the network options TrainConfig and StackedNetwork
+    share, each a ValueError naming its option."""
+    _check_units(layer_units)
+    if not 0.0 <= dropout_p < 1.0:
+        raise ValueError(f"dropout_p must be in [0, 1), got {dropout_p}")
+    if hist_placement not in HIST_PLACEMENTS:
+        raise ValueError(f"unknown hist_placement {hist_placement!r}")
+    if peephole not in PEEPHOLE_MODES:
+        raise ValueError(f"unknown peephole mode {peephole!r}")
+
+
 def param_layout(input_dim: int, layer_units: Sequence[int], n_classes: int,
                  hist_placement: str, peephole: str) -> list:
     """Every parameter block as (name, shape), in the one canonical order of
@@ -75,8 +93,7 @@ def param_layout(input_dim: int, layer_units: Sequence[int], n_classes: int,
     each layer's LSTM_FIELDS (LstmParams' field order), then each head's V
     and c: aux heads ("all" placement), per-step, final. A size below 1 is a
     ValueError naming its field."""
-    if not layer_units or min(layer_units) < 1:
-        raise ValueError(f"layer_units must hold >= 1 layer of >= 1 unit, got {list(layer_units)}")
+    _check_units(layer_units)
     for name, size in (("input_dim", input_dim), ("n_classes", n_classes)):
         if size < 1:
             raise ValueError(f"{name} must be >= 1, got {size}")
@@ -164,12 +181,7 @@ class StackedNetwork:
     scorers: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.hist_placement not in HIST_PLACEMENTS:
-            raise ValueError(f"unknown hist_placement {self.hist_placement!r}")
-        if self.peephole not in PEEPHOLE_MODES:
-            raise ValueError(f"unknown peephole mode {self.peephole!r}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+        check_options(self.layer_units, self.dropout_p, self.hist_placement, self.peephole)
         self.layer_units = list(self.layer_units)
         shape_key = (self.input_dim, tuple(self.layer_units), self.n_classes,
                      self.hist_placement, self.peephole)
@@ -539,12 +551,10 @@ def eval_final_probs(net: StackedNetwork, X) -> np.ndarray:
                          f"features with B, T >= 1, got {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("batch contains non-finite features")
-    for k, scorer in enumerate(net.scorers):  # X becomes each layer's output
-        X = _layer_forward(net.gates[k], X).h
-        if scorer is not None:
-            probs = head_predict(scorer[0], X)
-            if k in net.scored:
-                X = _eval_historical(net, k, X, probs)
+    for k, gates in enumerate(net.gates):  # X becomes each layer's output
+        X = _layer_forward(gates, X).h
+        if k in net.scored:  # only the recursion reads the per-step scores
+            X = _eval_historical(net, k, X, head_predict(net.scorers[k][0], X))
     return head_predict(net.final_head, X[:, -1:])[:, 0]
 
 

@@ -12,14 +12,13 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cells import PEEPHOLE_MODES
 from .dataio import Dataset, FeatureSequence
 from .historical import ALPHA_POLICIES, WINDOW_MODES, HistoricalConfig
 from .network import (
-    HIST_PLACEMENTS,
     StackedNetwork,
     backward_sequence,
     build_network,
+    check_options,
     eval_final_probs,
     forward_sequence,
     total_loss,
@@ -57,16 +56,9 @@ class TrainConfig:
                             "seed": 0, "l2": 0, "lambda_aux": 0})
         if self.decay_base > 1:  # a staircase decay factor
             raise ValueError(f"decay_base must be <= 1, got {self.decay_base}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         object.__setattr__(self, "layer_units", tuple(int(u) for u in self.layer_units))
-        if not self.layer_units or min(self.layer_units) < 1:
-            raise ValueError(f"need >= 1 layer of >= 1 unit, got layer_units={self.layer_units}")
+        check_options(self.layer_units, self.dropout_p, self.hist_placement, self.peephole)
         self.hist_cfg()  # validates tau, window_mode, alpha_policy, inference_policy
-        if self.hist_placement not in HIST_PLACEMENTS:
-            raise ValueError(f"unknown hist_placement {self.hist_placement!r}")
-        if self.peephole not in PEEPHOLE_MODES:
-            raise ValueError(f"unknown peephole {self.peephole!r}")
 
     def hist_cfg(self) -> HistoricalConfig:
         return HistoricalConfig(
@@ -201,7 +193,7 @@ def evaluate(net: StackedNetwork, dataset: Dataset) -> Metrics:
         by_length.setdefault(len(seq.frames), []).append(index)
     try:
         for T, group in by_length.items():
-            rows = max(1, EVAL_STEP_BUDGET // max(T, 1))
+            rows = max(1, EVAL_STEP_BUDGET // T)
             for idx in (group[lo:lo + rows] for lo in range(0, len(group), rows)):
                 probs = eval_final_probs(net, np.stack([dataset.sequences[i].frames for i in idx]))
                 np.add.at(confusion, (labels[idx], np.argmax(probs, axis=1)), 1)
@@ -389,48 +381,41 @@ GRAD_CHECK_INPUT_DIM = 2
 GRAD_CHECK_CLASSES = 3
 GRAD_CHECK_TAU = 2
 GRAD_CHECK_H = 1e-5
+# grad_check's cases per seed, in order: every (alpha policy, window mode,
+# branch the head biases force).
+GRAD_CHECK_CASES = tuple((policy, mode, branch) for policy in ALPHA_POLICIES
+                         for mode in WINDOW_MODES for branch in ("blend", "trunc"))
 
 
 def _forced_cases(seeds, layer_units, lengths, hist_placement, peephole) -> Iterable[tuple]:
-    """grad_check's cases: per seed, for every (alpha policy, window mode,
-    branch), a tiny random net, sequence and label with head biases forcing
-    the intended branch, and the net's training trace on them. Yields
+    """grad_check's cases: per seed, for every GRAD_CHECK_CASES entry, a tiny
+    random net, sequence and label with head biases forcing the intended
+    branch, and the net's training trace on them. Yields
     (seed, T, policy, mode, branch, net, X, label, trace)."""
+    base = TrainConfig(layer_units=layer_units, dropout_p=0.0, tau=GRAD_CHECK_TAU,
+                       hist_placement=hist_placement, peephole=peephole)
     case_id = 0
     for seed in range(seeds):
-        for policy in ALPHA_POLICIES:
-            for mode in WINDOW_MODES:
-                for branch in ("blend", "trunc"):
-                    T = int(lengths[(case_id + seed) % len(lengths)])
-                    case_id += 1
-                    rng = np.random.default_rng([seed, case_id])
-                    net = build_network(
-                        rng,
-                        GRAD_CHECK_INPUT_DIM,
-                        layer_units,
-                        GRAD_CHECK_CLASSES,
-                        dropout_p=0.0,
-                        hist_cfg=HistoricalConfig(
-                            tau=GRAD_CHECK_TAU, window_mode=mode, alpha_policy=policy
-                        ),
-                        hist_placement=hist_placement,
-                        peephole=peephole,
-                        use_historical=True,
-                    )
-                    X = rng.standard_normal((T, GRAD_CHECK_INPUT_DIM))
-                    label = int(rng.integers(GRAD_CHECK_CLASSES))
-                    # The literal alpha amplifies the state in the blend
-                    # branch, so its forcing stays mild to keep logits in
-                    # floating-point range over T steps.
-                    bias = 1.5 if (branch == "blend" and policy == "literal") else 6.0
-                    if branch == "blend":
-                        net.per_step_head.c[label] -= bias
-                        net.final_head.c[label] += bias
-                    else:
-                        net.per_step_head.c[label] += bias
-                        net.final_head.c[label] -= bias
-                    trace = forward_sequence(net, X, label=label, training=True)
-                    yield seed, T, policy, mode, branch, net, X, label, trace
+        for policy, mode, branch in GRAD_CHECK_CASES:
+            T = int(lengths[(case_id + seed) % len(lengths)])
+            case_id += 1
+            rng = np.random.default_rng([seed, case_id])
+            net = replace(base, window_mode=mode, alpha_policy=policy).build(
+                rng, GRAD_CHECK_INPUT_DIM, GRAD_CHECK_CLASSES)
+            X = rng.standard_normal((T, GRAD_CHECK_INPUT_DIM))
+            label = int(rng.integers(GRAD_CHECK_CLASSES))
+            # The literal alpha amplifies the state in the blend branch, so
+            # its forcing stays mild to keep logits in floating-point range
+            # over T steps.
+            bias = 1.5 if (branch == "blend" and policy == "literal") else 6.0
+            if branch == "blend":
+                net.per_step_head.c[label] -= bias
+                net.final_head.c[label] += bias
+            else:
+                net.per_step_head.c[label] += bias
+                net.final_head.c[label] -= bias
+            trace = forward_sequence(net, X, label=label, training=True)
+            yield seed, T, policy, mode, branch, net, X, label, trace
 
 
 def _central_differences(net, X, label: int, trace, lambda_aux: float, l2: float,
@@ -493,13 +478,7 @@ def _check(forced: Iterable[tuple]) -> GradCheckReport:
                 worst_block=_block_of(net, worst),
             )
         )
-    missing = [
-        (policy, mode, branch)
-        for policy in ALPHA_POLICIES
-        for mode in WINDOW_MODES
-        for branch in ("blend", "trunc")
-        if (policy, mode, branch) not in realized_cover
-    ]
+    missing = [case for case in GRAD_CHECK_CASES if case not in realized_cover]
     worst_case = max(cases, key=lambda c: c.max_rel_err)
     return GradCheckReport(
         max_rel_err=worst_case.max_rel_err,
@@ -531,5 +510,7 @@ def grad_check(
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
+    if not lengths or min(lengths) < 1:
+        raise ValueError(f"lengths must hold >= 1 length of >= 1 step, got {list(lengths)}")
     return _check(_forced_cases(seeds, layer_units, lengths, TrainConfig.hist_placement,
                                 TrainConfig.peephole))

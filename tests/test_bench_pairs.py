@@ -60,6 +60,7 @@ def test_src_lines_counts_newlines_of_the_package(tmp_path):
     (pkg / "b.py").write_text("z = 3\n")
     (pkg / "notes.txt").write_text("not\ncounted\n")
     assert pairs.src_lines(tmp_path) == 3
+    assert pairs.src_file_lines(tmp_path) == {"a.py": 2, "b.py": 1}
 
 
 def test_outputs_identical_needs_equal_digests_in_every_pair():

@@ -186,6 +186,16 @@ class TestExitCodes:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("item, message", [
+        ("epochs=three", "bad value for epochs: invalid literal for int() with base 10: 'three'"),
+        ("epochs", "expected key=value, got 'epochs'"),
+    ])
+    def test_bad_set_item_exits_2_naming_set(self, tmp_path, capsys, item, message):
+        # a --set item is parsed as a config file line is, its source in front
+        assert run(["train", *synth_args(tmp_path, "--set", item)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: --set: {message}\n" and "epoch " not in out
+
     def test_no_data_source_exits_2(self, tmp_path, capsys):
         code = run(["train", "--out", str(tmp_path)])
         assert code == 2

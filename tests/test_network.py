@@ -17,7 +17,7 @@ from histlstm.cells import (
 )
 from dataclasses import replace
 
-from histlstm import historical
+from histlstm import historical, network
 from histlstm.historical import (
     ALPHA_POLICIES,
     INFERENCE_POLICIES,
@@ -37,6 +37,7 @@ from histlstm.network import (
     _layer_forward,
     backward_sequence,
     build_network,
+    eval_final_probs,
     forward_sequence,
     is_weight_matrix,
     load_checkpoint,
@@ -357,6 +358,24 @@ class TestScoringTable:
             if f"aux{k}.V" in views and net.scorers[k] is None:  # "all" without history
                 assert np.array_equal(grads[f"aux{k}.V"], 2.0 * 0.004 * views[f"aux{k}.V"])
                 assert not grads[f"aux{k}.c"].any()
+
+    @pytest.mark.parametrize("use_historical", [True, False])
+    @pytest.mark.parametrize("placement", HIST_PLACEMENTS)
+    def test_batched_eval_scores_steps_only_for_the_recursion(self, placement, use_historical,
+                                                                monkeypatch):
+        # a layer's per-step scores feed only its historical unit, so a plain
+        # net's batch calls no head but the final one
+        net = tiny_net(seed=26, placement=placement, use_historical=use_historical)
+        called = []
+
+        def spy(head, S):
+            called.append(id(head))
+            return head_predict(head, S)
+
+        monkeypatch.setattr(network, "head_predict", spy)
+        eval_final_probs(net, np.random.default_rng(27).standard_normal((4, 5, 2)))
+        want = {id(net.final_head)} | {id(net.scorers[k][0]) for k in net.scored}
+        assert set(called) == want
 
 
 class TestTotalLoss:

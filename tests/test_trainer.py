@@ -1,6 +1,7 @@
 """Tests for the optimization loop: schedule, Adam, batching, k-fold,
 training determinism, and the finite-difference harness."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -45,6 +46,25 @@ def separable_dataset(n_per_class=20, seed=11):
                       noise_sigma=0.25, distractor=False, seed=seed,
                       n_per_class=n_per_class)
     return synth_keyframe_dataset(cfg)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("option, value, message", [
+        ("peephole", "x", "unknown peephole mode 'x'"),
+        ("hist_placement", "middle", "unknown hist_placement 'middle'"),
+        ("dropout_p", 1.0, r"dropout_p must be in \[0, 1\), got 1.0"),
+        ("dropout_p", -0.1, r"dropout_p must be in \[0, 1\), got -0.1"),
+        ("layer_units", (3, 0), r"layer_units must hold >= 1 layer of >= 1 unit, got \[3, 0\]"),
+        ("layer_units", (), r"layer_units must hold >= 1 layer of >= 1 unit, got \[\]"),
+    ])
+    def test_network_options_are_refused_as_the_network_refuses_them(self, option, value,
+                                                                     message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**{option: value})
+        options = dict(layer_units=(3,), dropout_p=0.0, hist_placement="top", peephole="diag")
+        options[option] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_network(np.random.default_rng(0), 2, n_classes=3, **options)
 
 
 class TestLrSchedule:
@@ -545,6 +565,21 @@ class TestGradCheck:
         for seeds in (0, -3):
             with pytest.raises(ValueError, match=f"^seeds must be >= 1, got {seeds}$"):
                 grad_check(seeds=seeds)
+
+    def test_no_lengths_is_rejected(self):
+        # an empty tuple used to raise ZeroDivisionError, a 0 a ShapeError
+        for lengths, shown in (((), r"\[\]"), ((3, 0), r"\[3, 0\]")):
+            with pytest.raises(ValueError,
+                               match=f"^lengths must hold >= 1 length of >= 1 step, got {shown}$"):
+                grad_check(seeds=1, lengths=lengths)
+
+    def test_cases_follow_the_case_table_per_seed(self):
+        table = trainer.GRAD_CHECK_CASES
+        assert sorted(table) == sorted(itertools.product(ALPHA_POLICIES, WINDOW_MODES,
+                                                         ("blend", "trunc")))
+        cases = trainer._forced_cases(2, (3,), (1, 3), "top", "diag")
+        got = [(seed, policy, mode, branch) for seed, _, policy, mode, branch, *_ in cases]
+        assert got == [(seed, *case) for seed in range(2) for case in table]
 
     @pytest.mark.parametrize("peephole", ["diag", "full"])
     @pytest.mark.parametrize("placement", ["top", "all"])
