@@ -67,17 +67,9 @@ class LstmParams:
         pshape = self.P_i.shape
         if pshape not in ((u,), (u, u)):
             raise ShapeError(f"peephole shape {pshape} is neither diag {(u,)} nor full {(u, u)}")
-        for names, shape in (
-            (("U_i", "U_f", "U_c", "U_o"), (u, d)),
-            (("W_i", "W_f", "W_c", "W_o"), (u, u)),
-            (("P_i", "P_f", "P_o"), pshape),
-            (("b_i", "b_f", "b_c", "b_o"), (u,)),
-        ):
-            for name in names:
-                if getattr(self, name).shape != shape:
-                    raise ShapeError(
-                        f"{name} has shape {getattr(self, name).shape}, expected {shape}"
-                    )
+        for name, shape in lstm_shapes(d, u, self.peephole):
+            if getattr(self, name).shape != shape:
+                raise ShapeError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
 
     @property
     def units(self) -> int:
@@ -90,6 +82,20 @@ class LstmParams:
     @property
     def peephole(self) -> str:
         return "diag" if self.P_i.ndim == 1 else "full"
+
+
+LSTM_FIELDS = tuple(f.name for f in fields(LstmParams))
+
+
+def lstm_shapes(input_dim: int, units: int, peephole: str) -> list:
+    """(field, shape) of each of one layer's blocks, in LSTM_FIELDS order:
+    U_* (units, input_dim), W_* (units, units), b_* (units,) and P_* (units,)
+    in "diag" mode or (units, units) in "full" mode."""
+    if peephole not in PEEPHOLE_MODES:
+        raise ValueError(f"unknown peephole mode {peephole!r}")
+    shapes = {"U": (units, input_dim), "W": (units, units), "b": (units,),
+              "P": (units,) if peephole == "diag" else (units, units)}
+    return [(name, shapes[name[0]]) for name in LSTM_FIELDS]
 
 
 @dataclass
@@ -176,13 +182,9 @@ def init_lstm_params(
     units: int,
     peephole: str = "diag",
 ) -> LstmParams:
-    """init_block of every field, drawn in LstmParams' field order."""
-    if peephole not in PEEPHOLE_MODES:
-        raise ValueError(f"unknown peephole mode {peephole!r}")
-    shapes = {"U": (units, input_dim), "W": (units, units), "b": (units,),
-              "P": (units,) if peephole == "diag" else (units, units)}
-    return LstmParams(**{f.name: init_block(rng, f.name, shapes[f.name[0]])
-                         for f in fields(LstmParams)})
+    """init_block of every field, drawn in LSTM_FIELDS order."""
+    return LstmParams(**{name: init_block(rng, name, shape)
+                         for name, shape in lstm_shapes(input_dim, units, peephole)})
 
 
 def init_head(rng: np.random.Generator, hidden: int, classes: int) -> HeadParams:

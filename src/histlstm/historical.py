@@ -237,8 +237,7 @@ def historical_update(
     return _step(trace, h_t, l_new, rec)
 
 
-def replay_update(trace: HistoricalTrace, h_t: np.ndarray, record: StepRecord,
-                  cfg: HistoricalConfig) -> HistoricalTrace:
+def replay_update(trace: HistoricalTrace, h_t: np.ndarray, record: StepRecord) -> HistoricalTrace:
     """Advance the state reusing a recorded branch and its frozen coefficients
     (a truncation step re-sums its recorded window).
 

@@ -22,6 +22,7 @@ from .cells import (
     PEEPHOLE_MODES,
     head_predict,
     init_block,
+    lstm_shapes,
     matvec,
     peep_apply,
 )
@@ -45,13 +46,6 @@ from .historical import (
 from .numerics import EPS_LOSS_FLOOR, ShapeError, cross_entropy, sigmoid
 
 HIST_PLACEMENTS = ("top", "all")
-
-LSTM_FIELDS = (
-    "U_i", "U_f", "U_c", "U_o",
-    "W_i", "W_f", "W_c", "W_o",
-    "P_i", "P_f", "P_o",
-    "b_i", "b_f", "b_c", "b_o",
-)
 
 CHECKPOINT_MAGIC = b"HLSTM1"
 CHECKPOINT_VERSION = 1
@@ -90,7 +84,7 @@ def param_layout(input_dim: int, layer_units: Sequence[int], n_classes: int,
                  hist_placement: str, peephole: str) -> list:
     """Every parameter block as (name, shape), in the one canonical order of
     the parameter vector, its gradient, Adam's moments and the checkpoint:
-    each layer's LSTM_FIELDS (LstmParams' field order), then each head's V
+    each layer's lstm_shapes (LstmParams' field order), then each head's V
     and c: aux heads ("all" placement), per-step, final. A size below 1 is a
     ValueError naming its field."""
     _check_units(layer_units)
@@ -100,9 +94,7 @@ def param_layout(input_dim: int, layer_units: Sequence[int], n_classes: int,
     layout = []
     d = input_dim
     for k, u in enumerate(layer_units):
-        peep = (u,) if peephole == "diag" else (u, u)
-        shapes = [(u, d)] * 4 + [(u, u)] * 4 + [peep] * 3 + [(u,)] * 4
-        layout += [(f"layer{k}.{f}", s) for f, s in zip(LSTM_FIELDS, shapes)]
+        layout += [(f"layer{k}.{f}", shape) for f, shape in lstm_shapes(d, u, peephole)]
         d = u
     heads = [(f"aux{k}", u) for k, u in enumerate(layer_units[:-1]) if hist_placement == "all"]
     for name, u in heads + [("per_step", d), ("final", d)]:
@@ -143,7 +135,7 @@ class GateBlocks(NamedTuple):
 @lru_cache(maxsize=64)
 def _gate_cuts(*shape_key) -> tuple:
     """Per layer, (start, stop, fused shape) of its U, W, P and b groups:
-    each group of LSTM_FIELDS lies side by side in the parameter vector."""
+    each group of lstm_shapes lies side by side in the parameter vector."""
     at = {name: (a, b, shape) for name, a, b, shape, _ in _cuts(*shape_key)}
     layers = []
     for k in range(len(shape_key[1])):
@@ -179,6 +171,8 @@ class StackedNetwork:
     # None where no head scores that layer's steps.
     scored: tuple = field(init=False, repr=False)
     scorers: list = field(init=False, repr=False)
+    # (start, stop) in theta of each block the L2 penalty covers, in layout order.
+    l2_spans: list = field(init=False, repr=False)
 
     def __post_init__(self):
         check_options(self.layer_units, self.dropout_p, self.hist_placement, self.peephole)
@@ -195,7 +189,7 @@ class StackedNetwork:
             )
         views = self.views(self.theta)
         self._blocks = list(views.items())
-        self._l2 = [views[name] for name, *_, l2 in self._cuts if l2]
+        self.l2_spans = [(a, b) for _, a, b, _, l2 in self._cuts if l2]
         self.gates = self.gate_blocks(self.theta)
         names = [name[:-2] for name in views if name.endswith(".c")]  # aux..., per-step, final
         heads = [HeadParams(views[name + ".V"], views[name + ".c"]) for name in names]
@@ -229,9 +223,9 @@ class StackedNetwork:
         """All parameters as (name, view of theta) pairs in layout order."""
         return self._blocks
 
-    def l2_arrays(self) -> list:
-        """The blocks the L2 penalty covers, in layout order."""
-        return self._l2
+    def block_of(self, index: int) -> str:
+        """Name of the parameter block holding theta[..., index]."""
+        return next(name for name, _, stop, *_ in self._cuts if index < stop)
 
     def flatten_params(self) -> np.ndarray:
         return self.theta.copy()
@@ -385,7 +379,7 @@ def _run_historical(
         steps = np.moveaxis(H, -2, 0)
         hist = initial_trace(steps[0], lambda s: replay_records[0].eps_l_new)
         for t in range(1, len(steps)):
-            hist = replay_update(hist, steps[t], replay_records[t], cfg)
+            hist = replay_update(hist, steps[t], replay_records[t])
         return hist
     if label is not None:
         ys, eps_h = label, cross_entropy(step_probs, label)
@@ -600,16 +594,16 @@ def total_loss(
             aux += sum(per_step) / len(per_step)
         loss += lambda_aux * aux / len(streams)
     if l2 != 0.0:
-        loss += l2 * sum(_sum_of_squares(a, bool(net.stack_shape)) for a in net.l2_arrays())
+        loss += l2 * sum(_sum_of_squares(net.theta[..., a:b]) for a, b in net.l2_spans)
     return loss if net.stack_shape else float(loss)
 
 
-def _sum_of_squares(a: np.ndarray, stacked: bool):
-    """Sum of a's squared entries, or of each a[k]'s for a stack: one BLAS
-    dot product per parameter set either way."""
-    if not stacked:
-        return float(np.dot(a.ravel(), a.ravel()))
-    v = a.reshape(len(a), 1, -1)
+def _sum_of_squares(v: np.ndarray):
+    """Sum of v's squares for one span (n,), or of each row's for a stack
+    (K, n): one BLAS dot product per parameter set either way."""
+    if v.ndim == 1:
+        return float(np.dot(v, v))
+    v = v[:, None, :]
     return (v @ np.swapaxes(v, 1, 2))[:, 0, 0]
 
 
@@ -730,13 +724,12 @@ def backward_sequence(
     gate_grads = net.gate_blocks(grad)
     T = trace.T
 
-    # Final head, whose V and c close the layout. d_out is the gradient on
-    # the sequence layer k passes on: l_1..l_T if it is scored, else
-    # h_1..h_T. The final head seeds the top layer's at step T.
+    # Final head. d_out is the gradient on the sequence layer k passes on:
+    # l_1..l_T if it is scored, else h_1..h_T. The final head seeds the top
+    # layer's at step T.
     dz_final = _ce_logit_grad(trace.final_probs, label)
-    *_, final_V, final_c = grads.values()
-    final_V += np.outer(dz_final, trace.final_src)
-    final_c += dz_final
+    grads["final.V"] += np.outer(dz_final, trace.final_src)
+    grads["final.c"] += dz_final
     d_out = np.zeros_like(trace.layers[-1].h)
     d_out[T - 1] = net.final_head.V.T @ dz_final
 
@@ -763,9 +756,8 @@ def backward_sequence(
             d_out = dX if mask is None else dX * mask / (1.0 - net.dropout_p)
 
     if l2 != 0.0:
-        for (name, arr), (*_, in_l2) in zip(net.param_blocks(), net._cuts):
-            if in_l2:
-                grads[name] += 2.0 * l2 * arr
+        for a, b in net.l2_spans:
+            grad[..., a:b] += 2.0 * l2 * net.theta[..., a:b]
     return grad
 
 

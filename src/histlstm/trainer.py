@@ -8,7 +8,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class TrainConfig:
     use_historical: bool = True
 
     def __post_init__(self):
+        # The network's checks first, so a network option is refused with
+        # the network's message (a NaN dropout_p is out of [0, 1)).
+        object.__setattr__(self, "layer_units", tuple(int(u) for u in self.layer_units))
+        check_options(self.layer_units, self.dropout_p, self.hist_placement, self.peephole)
         for name in ("lr0", "decay_base"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -56,8 +60,6 @@ class TrainConfig:
                             "seed": 0, "l2": 0, "lambda_aux": 0})
         if self.decay_base > 1:  # a staircase decay factor
             raise ValueError(f"decay_base must be <= 1, got {self.decay_base}")
-        object.__setattr__(self, "layer_units", tuple(int(u) for u in self.layer_units))
-        check_options(self.layer_units, self.dropout_p, self.hist_placement, self.peephole)
         self.hist_cfg()  # validates tau, window_mode, alpha_policy, inference_policy
 
     def hist_cfg(self) -> HistoricalConfig:
@@ -97,9 +99,9 @@ class AdamState:
     m: dict
     v: dict
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
 
     @classmethod
     def for_network(cls, net: StackedNetwork) -> "AdamState":
@@ -257,7 +259,7 @@ def train(
             grad, loss, acc = _batch_gradients(net, dataset, batch, cfg, rng)
             if not np.isfinite(loss):
                 finite = np.isfinite(grad)
-                bad = "loss only" if finite.all() else _block_of(net, int(np.argmin(finite)))
+                bad = "loss only" if finite.all() else net.block_of(int(np.argmin(finite)))
                 raise RuntimeError(
                     f"training aborted at step {step}: non-finite loss "
                     f"(first bad parameter block: {bad})"
@@ -368,11 +370,6 @@ class GradCheckReport:
         return self.max_rel_err < 1e-4 and not self.missing_coverage
 
 
-def _block_of(net: StackedNetwork, flat_index: int) -> str:
-    """Name of the parameter block holding theta[flat_index]."""
-    return next(name for name, _, stop, *_ in net._cuts if flat_index < stop)
-
-
 # grad_check's fixed settings: TrainConfig's default loss weights, the tiny
 # nets' input width, class count and tau, and the central-difference step.
 GRAD_CHECK_LAMBDA_AUX = TrainConfig.lambda_aux
@@ -463,7 +460,7 @@ def _check(forced: Iterable[tuple]) -> GradCheckReport:
         if abs(scalar - fd[worst]) > 1e-9 * max(1.0, abs(fd[worst])):
             raise RuntimeError(
                 f"grad_check case seed={seed} T={T} {policy}/{mode}/{branch}: the stacked "
-                f"central difference {fd[worst]!r} at {_block_of(net, worst)} differs from "
+                f"central difference {fd[worst]!r} at {net.block_of(worst)} differs from "
                 f"finite_diff's {scalar!r}"
             )
         cases.append(
@@ -475,7 +472,7 @@ def _check(forced: Iterable[tuple]) -> GradCheckReport:
                 intended_branch=branch,
                 realized_branches=realized,
                 max_rel_err=float(rel[worst]),
-                worst_block=_block_of(net, worst),
+                worst_block=net.block_of(worst),
             )
         )
     missing = [case for case in GRAD_CHECK_CASES if case not in realized_cover]

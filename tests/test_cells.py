@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from histlstm.cells import (
+    LSTM_FIELDS,
     HeadParams,
     LstmParams,
     LstmState,
@@ -220,6 +221,8 @@ class TestLstmStep:
             lstm_step(p, LstmState.zero(3), np.zeros(5))
         with pytest.raises(ShapeError):
             lstm_step(p, LstmState.zero(4), np.zeros(2))
+        with pytest.raises(ShapeError, match=r"^state shapes disagree: h=\(3,\) c=\(2,\)$"):
+            LstmState(h=np.zeros(3), c=np.zeros(2))
 
 
 class TestInit:
@@ -254,11 +257,20 @@ class TestInit:
     def test_param_validation(self):
         rng = np.random.default_rng(9)
         p = init_lstm_params(rng, 2, 3)
-        with pytest.raises(ShapeError):
-            LstmParams(**{**{k: getattr(p, k) for k in (
-                "U_i", "U_f", "U_c", "U_o", "W_i", "W_f", "W_c", "W_o",
-                "P_i", "P_f", "P_o", "b_i", "b_f", "b_c", "b_o")},
-                "b_f": np.zeros(4)})
+        blocks = {k: getattr(p, k) for k in LSTM_FIELDS}
+        with pytest.raises(ShapeError, match=r"^b_f has shape \(4,\), expected \(3,\)$"):
+            LstmParams(**{**blocks, "b_f": np.zeros(4)})
+        with pytest.raises(ShapeError, match=r"^P_o has shape \(3, 3\), expected \(3,\)$"):
+            LstmParams(**{**blocks, "P_o": np.zeros((3, 3))})
+        with pytest.raises(ShapeError, match=r"^peephole shape \(2,\) is neither diag \(3,\) "
+                                             r"nor full \(3, 3\)$"):
+            LstmParams(**{**blocks, "P_i": np.zeros(2)})
+        with pytest.raises(ValueError, match="^unknown peephole mode 'none'$"):
+            init_lstm_params(rng, 2, 3, peephole="none")
+        with pytest.raises(ShapeError, match=r"^head shapes disagree: V=\(3, 2\) c=\(4,\)$"):
+            HeadParams(V=np.zeros((3, 2)), c=np.zeros(4))
+        with pytest.raises(ShapeError, match=r"^head shapes disagree: V=\(3,\) c=\(3,\)$"):
+            HeadParams(V=np.zeros(3), c=np.zeros(3))
 
     def test_sigmoid_consistency_with_gate_math(self):
         # The scalar oracle above uses math.exp; the vector path must agree.

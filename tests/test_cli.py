@@ -25,7 +25,8 @@ import histlstm
 from histlstm.dataio import FeatureSequence, SynthConfig, load_manifest, read_fseq, write_fseq
 from histlstm.historical import HistoricalConfig
 from histlstm.network import build_network, load_checkpoint, save_checkpoint
-from histlstm.trainer import TrainConfig, grad_check
+from histlstm import cli
+from histlstm.trainer import GradCheckReport, TrainConfig, grad_check
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -494,6 +495,14 @@ class TestSubcommands:
         assert csv.startswith("method,accuracy\n")
         assert len(csv.strip().split("\n")) == 6
         capsys.readouterr()
+
+    def test_gradcheck_missing_coverage_exits_1_naming_it(self, tmp_path, capsys, monkeypatch):
+        report = GradCheckReport(max_rel_err=0.0, worst_block="final.V", cases=[], elapsed_s=0.0,
+                                 missing_coverage=[("literal", "sliding", "trunc")])
+        monkeypatch.setattr(cli, "grad_check", lambda seeds: report)
+        assert run(["gradcheck", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "gradcheck: missing branch coverage: [('literal', 'sliding', 'trunc')]")
 
     def test_gradcheck_exits_0_and_reports(self, tmp_path, capsys):
         # one seed leaves branch-coverage holes; two is the floor for ok

@@ -45,6 +45,7 @@ class TestFeatureSequence:
         b = FeatureSequence(frames=np.ones((2, 2)), label=1, id="b")
         c = FeatureSequence(frames=np.ones((2, 2)) + 1e-9, label=1, id="a")
         assert a == b and a != c
+        assert a != "a" and a.__eq__(a.frames) is NotImplemented
 
     def test_dataset_validation(self):
         seqs = [FeatureSequence(frames=np.zeros((2, 3)), label=0),
@@ -65,6 +66,8 @@ class TestFeatureSequence:
         assert len(ds) == 2 and ds.dim == 3
         assert np.array_equal(ds.labels(), [1, 0])
         assert [s.label for s in ds] == [1, 0]
+        with pytest.raises(ValueError, match="^empty dataset has no feature dim$"):
+            Dataset(sequences=[], n_classes=2).dim
 
 
 class TestFseqFormat:
@@ -211,6 +214,11 @@ class TestManifest:
     def test_non_integer_class_count(self, tmp_path):
         path = self.write_corpus(tmp_path, [("a.fseq", 0)], header="classes abc")
         with pytest.raises(ValueError, match=r"manifest\.txt:1: class count 'abc'"):
+            load_manifest(path)
+
+    def test_zero_class_count(self, tmp_path):
+        path = self.write_corpus(tmp_path, [("a.fseq", 0)], header="classes 0")
+        with pytest.raises(ValueError, match=r"manifest\.txt:1: class count must be >= 1$"):
             load_manifest(path)
 
     def test_non_integer_fold(self, tmp_path):

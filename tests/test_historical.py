@@ -262,7 +262,7 @@ class TestHistoricalUpdate:
                     assert rec.branch == "trunc" and len(rec.weights) == n
                     expected = sum((1.0 / n) * h for h in hs[t - n:])
                     assert np.array_equal(out.l, expected)
-                    replayed = replay_update(trace, hs[-1], rec, cfg)
+                    replayed = replay_update(trace, hs[-1], rec)
                     assert np.array_equal(replayed.l, expected)
 
     def test_non_finite_state_names_step_branch_and_alpha(self):
@@ -429,7 +429,7 @@ class TestLongHorizon:
                         assert len(rec.weights) == n
                 replay = initial_trace(hs[0], loss_l)
                 for h, rec in zip(hs[1:], trace.records[1:]):
-                    replay = replay_update(replay, h, rec, cfg)
+                    replay = replay_update(replay, h, rec)
                 for mine, theirs in zip(replay.l_history, trace.l_history):
                     assert np.array_equal(mine, theirs)
 
@@ -591,7 +591,7 @@ class TestReplay:
         trace = drive(hs, cfg, loss, loss)
         replay = initial_trace(hs[0], loss)
         for h, rec in zip(hs[1:], trace.records[1:]):
-            replay = replay_update(replay, h, rec, cfg)
+            replay = replay_update(replay, h, rec)
         assert np.array_equal(replay.l, trace.l)
         for mine, theirs in zip(replay.l_history, trace.l_history):
             assert np.array_equal(mine, theirs)
@@ -600,7 +600,7 @@ class TestReplay:
         trace = initial_trace(np.zeros(2), lambda v: 1.0)
         rec = StepRecord(branch="init", eps_h=1.0, eps_l_prev=1.0, eps_l_new=1.0)
         with pytest.raises(ValueError):
-            replay_update(trace, np.zeros(2), rec, HistoricalConfig())
+            replay_update(trace, np.zeros(2), rec)
 
 
 class TestInferenceLosses:

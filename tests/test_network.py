@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from histlstm.cells import (
+    LSTM_FIELDS,
     PEEPHOLE_MODES,
     LstmParams,
     LstmState,
@@ -29,7 +30,6 @@ from histlstm.historical import (
 )
 from histlstm.network import (
     HIST_PLACEMENTS,
-    LSTM_FIELDS,
     _aux_streams,
     _ce_logit_grad,
     _historical_backward,
@@ -298,6 +298,10 @@ class TestForwardSequence:
         net = tiny_net(seed=17)
         with pytest.raises(ShapeError):
             forward_sequence(net, np.zeros((3, 5)))
+        for X in (np.zeros(2), np.zeros((0, 2)), np.zeros((1, 3, 2))):
+            with pytest.raises(ShapeError, match=r"^a sequence must be a \(T, D\) array with "
+                                                 rf"T >= 1, got {re.escape(str(X.shape))}$"):
+                forward_sequence(net, X)
         with pytest.raises(ValueError):
             forward_sequence(net, np.zeros((3, 2)), training=True)  # no label
         with pytest.raises(ValueError):

@@ -54,6 +54,8 @@ class TestTrainConfig:
         ("hist_placement", "middle", "unknown hist_placement 'middle'"),
         ("dropout_p", 1.0, r"dropout_p must be in \[0, 1\), got 1.0"),
         ("dropout_p", -0.1, r"dropout_p must be in \[0, 1\), got -0.1"),
+        ("dropout_p", float("nan"), r"dropout_p must be in \[0, 1\), got nan"),
+        ("dropout_p", float("inf"), r"dropout_p must be in \[0, 1\), got inf"),
         ("layer_units", (3, 0), r"layer_units must hold >= 1 layer of >= 1 unit, got \[3, 0\]"),
         ("layer_units", (), r"layer_units must hold >= 1 layer of >= 1 unit, got \[\]"),
     ])
