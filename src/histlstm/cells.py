@@ -63,6 +63,8 @@ class LstmParams:
     b_o: np.ndarray
 
     def __post_init__(self):
+        if self.U_i.ndim != 2:
+            raise ShapeError(f"U_i has shape {self.U_i.shape}, expected (units, input_dim)")
         u, d = self.U_i.shape
         pshape = self.P_i.shape
         if pshape not in ((u,), (u, u)):

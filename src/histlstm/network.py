@@ -286,7 +286,7 @@ class LayerTrace:
 
     x: np.ndarray  # (T, in_dim) inputs actually fed (post-dropout of the layer below)
     h: np.ndarray  # (T, U)
-    # The rest only BPTT reads, so a stacked pass leaves them None.
+    # The rest only BPTT reads, so a stacked pass and an eval batch leave them None.
     c: Optional[np.ndarray]  # (T, U)
     tc: Optional[np.ndarray]  # tanh(c), cached
     gates: Optional[np.ndarray]  # (T, 4, U): the i, f, g, o activations
@@ -294,6 +294,9 @@ class LayerTrace:
 
 @dataclass
 class ForwardTrace:
+    """One pass's trace; a training batch's has a leading B on every array,
+    and its hists[k] holds one HistoricalTrace per row (see row)."""
+
     layers: list  # of LayerTrace
     masks: list  # per layer boundary: (T, U) 0/1 mask, or None
     hists: list  # per layer: HistoricalTrace or None
@@ -305,11 +308,30 @@ class ForwardTrace:
     def T(self) -> int:
         return self.layers[0].h.shape[-2]
 
+    def row(self, b: int) -> "ForwardTrace":
+        """Row b of a batch's trace as its own sequence's trace, of views."""
+        def pick(a):
+            return None if a is None else a[b]
 
-def _layer_forward(p: GateBlocks, X: np.ndarray) -> LayerTrace:
-    """One layer over X (T, D), each step's four gates as one (4, U) block. For
-    a batch X (B, T, D), or stacked parameters (leading K; X (T, D) or (K, T,
-    D)), h is (B or K, T, U) with each row's own bits, and nothing else is kept."""
+        return ForwardTrace(
+            layers=[LayerTrace(*map(pick, (lt.x, lt.h, lt.c, lt.tc, lt.gates)))
+                    for lt in self.layers],
+            masks=list(map(pick, self.masks)),
+            hists=list(map(pick, self.hists)),
+            probs=list(map(pick, self.probs)),
+            final_src=self.final_src[b],
+            final_probs=self.final_probs[b],
+        )
+
+
+def _layer_forward(p: GateBlocks, X: np.ndarray, keep: bool = False) -> LayerTrace:
+    """One layer over X (T, D), each step's four gates as one (4, U) block. A
+    batch X (B, T, D), or stacked parameters (leading K; X (T, D) or (K, T,
+    D)), gives every array a leading B or K, each row with its own bits. keep
+    also stores c, tanh c and the gates, which only BPTT reads."""
+    if X.ndim == 3 and len(X) == 1 and p.U.ndim == 2:  # a batch of one runs as the sequence
+        lt = _layer_forward(p, X[0], keep)
+        return LayerTrace(X, *(a if a is None else a[None] for a in (lt.h, lt.c, lt.tc, lt.gates)))
     T = X.shape[-2]
     stacked = p.U.ndim == 3
     diag = p.P.ndim == p.U.ndim  # (…, 3, U) against (…, 3, U, U)
@@ -323,12 +345,14 @@ def _layer_forward(p: GateBlocks, X: np.ndarray) -> LayerTrace:
     ZX = np.moveaxis(ZX, -2, 0)
     gate_shape = ZX.shape[1:]
     state_shape = gate_shape[:-2] + gate_shape[-1:]
-    rows = len(state_shape) > 1  # a batch or a stack
-    H = np.empty((T,) + state_shape)
-    if rows:
-        C = TC = G = None
-    else:
-        C, TC, G = np.empty(H.shape), np.empty(H.shape), np.empty(ZX.shape)
+    rows = state_shape[:-1]  # (B,) or (K,) for a batch or a stack
+    # A kept batch's rows lie apart, each as its row's own pass has it; a
+    # stack or an eval batch keeps each step's states together, for the
+    # recursions that walk their steps.
+    H = np.empty(rows + (T,) + state_shape[-1:]) if keep else np.moveaxis(
+        np.empty((T,) + state_shape), 0, -2)
+    if keep:
+        C, TC, G = np.empty(H.shape), np.empty(H.shape), np.empty(rows + (T,) + gate_shape[-2:])
     P_if, P_o = (p.P[:, :2], p.P[:, 2]) if stacked else (p.P[:2], p.P[2])
     h = np.zeros(state_shape)
     c = np.zeros(state_shape)
@@ -342,16 +366,14 @@ def _layer_forward(p: GateBlocks, X: np.ndarray) -> LayerTrace:
         o = sigmoid(z[..., 3, :] + peep_apply(P_o, c, diag))
         tc = np.tanh(c)
         h = o * tc
-        H[t] = h
-        if not rows:
-            G[t, :2] = i_f
-            G[t, 2] = g
-            G[t, 3] = o
-            C[t] = c
-            TC[t] = tc
-    if rows:  # the batch or stack axis goes first again
-        H = np.moveaxis(H, 0, 1)
-    return LayerTrace(x=X, h=H, c=C, tc=TC, gates=G)
+        H[..., t, :] = h
+        if keep:
+            G[..., t, :2, :] = i_f
+            G[..., t, 2, :] = g
+            G[..., t, 3, :] = o
+            C[..., t, :] = c
+            TC[..., t, :] = tc
+    return LayerTrace(X, H, *((C, TC, G) if keep else (None,) * 3))
 
 
 def _run_historical(
@@ -456,11 +478,17 @@ def forward_sequence(
     rng: Optional[np.random.Generator] = None,
     replay_from: Optional[ForwardTrace] = None,
 ) -> ForwardTrace:
-    """Full forward pass over one sequence.
+    """Full forward pass over one sequence, or over a training batch.
 
     In training mode the true label drives the branch comparisons and
     dropout masks are drawn from rng; in evaluation mode the configured
     inference policy stands in for the label and dropout is the identity.
+
+    A live training pass also takes a batch x (B, T, D) with labels (B,).
+    Its layers and per-step heads run once over the batch, each row's
+    historical recursion runs on its own, and every mask of row b is drawn
+    before row b+1's, so trace.row(b) is bit for bit row b's own pass. A
+    live pass over one sequence is the batch of one.
 
     Passing replay_from pins the stochastic and branching choices (dropout
     masks, branch decisions, alpha, window weights) to the given trace, so
@@ -471,67 +499,73 @@ def forward_sequence(
     returned trace.
     """
     X = np.asarray(x, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
+    live = replay_from is None
+    batch = training and live and np.ndim(label) == 1
+    if batch:
+        if X.ndim != 3 or min(X.shape[:2]) < 1 or np.shape(label) != X.shape[:1]:
+            raise ShapeError(f"a training batch must be a (B, T, D) array with B, T >= 1 and "
+                             f"labels (B,), got {X.shape} and labels {np.shape(label)}")
+    elif X.ndim != 2 or X.shape[0] < 1:
         raise ShapeError(f"a sequence must be a (T, D) array with T >= 1, got {X.shape}")
-    if net.stack_shape and replay_from is None:
+    if net.stack_shape and live:
         raise ValueError("a stacked network runs only replayed passes")
-    if X.shape[1] != net.input_dim:
+    if X.shape[-1] != net.input_dim:
         raise ShapeError(
-            f"sequence has feature dim {X.shape[1]}, network expects {net.input_dim}"
+            f"sequence has feature dim {X.shape[-1]}, network expects {net.input_dim}"
         )
     if not np.all(np.isfinite(X)):
         raise ValueError("sequence contains non-finite features")
     if training and label is None:
         raise ValueError("training-mode forward needs a label")
-    fresh_masks = training and net.dropout_p > 0.0 and replay_from is None
+    fresh_masks = training and net.dropout_p > 0.0 and live
     if fresh_masks and rng is None:
         raise ValueError("training-mode forward with dropout needs a generator")
 
     L = len(net.layer_units)
-    T = X.shape[0]
+    if live and not batch:  # one sequence is the batch of one
+        X = X[None]
+    T = X.shape[-2]
+    targets = np.asarray(label).tolist() if batch else [label if training else None]  # per row
+    if not live:
+        masks = list(replay_from.masks)
+    elif fresh_masks:
+        masks = [np.empty((len(X), T, u), dtype=bool) for u in net.layer_units[:-1]]
+        for b in range(len(X)):
+            for mask in masks:
+                mask[b] = rng.random(mask.shape[1:]) >= net.dropout_p
+    else:
+        masks = [None] * (L - 1)
     layer_traces: list = []
-    masks: list = []
     hists: list = [None] * L
     probs: list = [None] * L
 
     cur = X
     for k in range(L):
-        lt = _layer_forward(net.gates[k], cur)
+        lt = _layer_forward(net.gates[k], cur, keep=not net.stack_shape)
         layer_traces.append(lt)
         if net.scorers[k] is not None:
             probs[k] = head_predict(net.scorers[k][0], lt.h)
-        if k in net.scored:
-            records = replay_from.hists[k].records if replay_from is not None else None
-            hists[k] = _run_historical(
-                net, k, lt.h, probs[k], label if training else None, records
-            )
+        if k in net.scored and live:
+            hists[k] = [_run_historical(net, k, h, p, y, None)
+                        for h, p, y in zip(lt.h, probs[k], targets)]
+        elif k in net.scored:
+            hists[k] = _run_historical(net, k, lt.h, probs[k], None, replay_from.hists[k].records)
         if k < L - 1:
-            upward = lt.h if hists[k] is None else np.stack(hists[k].l_history, axis=-2)
-            if replay_from is not None:
-                mask = replay_from.masks[k]
-            elif fresh_masks:
-                mask = rng.random(upward.shape) >= net.dropout_p
-            else:
-                mask = None
-            masks.append(mask)
-            if mask is None:
-                cur = upward
-            else:
-                cur = upward * mask / (1.0 - net.dropout_p)
+            upward = lt.h
+            if hists[k] is not None:
+                upward = (np.array([hist.l_history for hist in hists[k]]) if live
+                          else np.stack(hists[k].l_history, axis=-2))
+            cur = upward if masks[k] is None else upward * masks[k] / (1.0 - net.dropout_p)
 
-    if net.use_historical:
-        final_src = hists[L - 1].l
-    else:
+    if not net.use_historical:
         final_src = layer_traces[-1].h[..., T - 1, :]
-    final_probs = head_predict(net.final_head, final_src)
-    return ForwardTrace(
-        layers=layer_traces,
-        masks=masks,
-        hists=hists,
-        probs=probs,
-        final_src=final_src,
-        final_probs=final_probs,
-    )
+    else:
+        final_src = np.array([hist.l for hist in hists[-1]]) if live else hists[-1].l
+    # one (1, U) @ (U, C) product per row: a (B, U) @ (U, C) product sums in another order
+    final_probs = head_predict(net.final_head, final_src[..., None, :])[..., 0, :]
+    trace = ForwardTrace(layers=layer_traces, masks=masks, hists=hists, probs=probs,
+                         final_src=final_src, final_probs=final_probs)
+    return trace if batch or not live else trace.row(0)
 
 
 def eval_final_probs(net: StackedNetwork, X) -> np.ndarray:

@@ -68,7 +68,7 @@ def cross_entropy(p: np.ndarray, label):
         if label.size and not 0 <= label.min() <= label.max() < p.shape[-1]:
             bad = label[(label < 0) | (label >= p.shape[-1])][0]
             raise IndexError(f"label {bad} out of range for {p.shape[-1]} classes")
-        picked = np.take_along_axis(p, label[..., None], axis=-1)[..., 0]
+        picked = p[(*np.indices(label.shape, sparse=True), label)]
         return np.maximum(-np.log(picked), EPS_LOSS_FLOOR)
     if not 0 <= label < p.shape[-1]:
         raise IndexError(f"label {label} out of range for {p.shape[-1]} classes")

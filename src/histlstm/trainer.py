@@ -4,6 +4,7 @@ k-fold cross-validation, evaluation metrics, and the gradient-check harness.
 
 from __future__ import annotations
 
+import itertools
 import time
 import warnings
 from contextlib import contextmanager
@@ -178,6 +179,7 @@ def _naming(seq: FeatureSequence, index: int):
 
 
 EVAL_STEP_BUDGET = 960  # evaluate's batches: max(1, EVAL_STEP_BUDGET // T) rows of length T
+TRAIN_STEP_BUDGET = 480  # training forwards: max(1, TRAIN_STEP_BUDGET // T) rows of length T
 
 
 def evaluate(net: StackedNetwork, dataset: Dataset) -> Metrics:
@@ -210,6 +212,14 @@ def evaluate(net: StackedNetwork, dataset: Dataset) -> Metrics:
     return Metrics(accuracy=accuracy, confusion=confusion)
 
 
+def _equal_length_runs(dataset: Dataset, batch_idx: Sequence[int]) -> Iterable[list]:
+    """batch_idx in order, cut into runs of consecutive rows of one length T
+    and each run into pieces of at most max(1, TRAIN_STEP_BUDGET // T) rows."""
+    for T, run in itertools.groupby(batch_idx, key=lambda i: dataset.sequences[i].T):
+        run, rows = list(run), max(1, TRAIN_STEP_BUDGET // T)
+        yield from (run[lo:lo + rows] for lo in range(0, len(run), rows))
+
+
 def _batch_gradients(
     net: StackedNetwork,
     dataset: Dataset,
@@ -218,17 +228,37 @@ def _batch_gradients(
     rng: np.random.Generator,
 ) -> tuple:
     """Mean gradient over the batch (fixed summation order), mean loss, and
-    the fraction of training-mode argmax hits."""
+    the fraction of training-mode argmax hits.
+
+    Each piece from _equal_length_runs runs as one training forward, every
+    row bit for bit its own sequence's pass; total_loss and backward_sequence
+    then take the rows one by one. If that forward raises ValueError, the
+    generator goes back to its state before it and the piece's rows run one
+    sequence at a time, so an error names the same sequence and step."""
     grad_sum = np.zeros_like(net.theta)
     loss_sum = 0.0
     hits = 0
-    for idx in batch_idx:
-        seq = dataset.sequences[idx]
-        with _naming(seq, idx):
-            trace = forward_sequence(net, seq.frames, label=seq.label, training=True, rng=rng)
-            loss_sum += total_loss(net, trace, seq.label, cfg.lambda_aux, cfg.l2)
-            grad_sum += backward_sequence(net, trace, seq.label, cfg.lambda_aux, cfg.l2)
-        hits += int(np.argmax(trace.final_probs)) == seq.label
+    for piece in _equal_length_runs(dataset, batch_idx):
+        seqs = [dataset.sequences[idx] for idx in piece]
+        state = rng.bit_generator.state
+        try:
+            batch = forward_sequence(net, np.stack([seq.frames for seq in seqs]),
+                                     label=np.array([seq.label for seq in seqs]),
+                                     training=True, rng=rng)
+        except ValueError:
+            rng.bit_generator.state = state
+            traces = [None] * len(seqs)
+        else:
+            traces = [batch.row(b) for b in range(len(seqs))]
+        for idx, seq, trace in zip(piece, seqs, traces):
+            with _naming(seq, idx):
+                if trace is None:
+                    trace = forward_sequence(net, seq.frames, label=seq.label, training=True,
+                                             rng=rng)
+                loss_sum += total_loss(net, trace, seq.label, cfg.lambda_aux, cfg.l2)
+                grad_sum += backward_sequence(net, trace, seq.label, cfg.lambda_aux, cfg.l2)
+            hits += int(np.argmax(trace.final_probs)) == seq.label
+        batch = traces = trace = None  # the piece's arrays go before the next piece's forward
     n = len(batch_idx)
     grad_sum /= n
     return grad_sum, loss_sum / n, hits / n

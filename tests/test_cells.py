@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,10 @@ class TestInit:
         with pytest.raises(ShapeError, match=r"^peephole shape \(2,\) is neither diag \(3,\) "
                                              r"nor full \(3, 3\)$"):
             LstmParams(**{**blocks, "P_i": np.zeros(2)})
+        for U_i in (np.zeros(3), np.zeros((3, 2, 1)), np.float64(0.0)):
+            with pytest.raises(ShapeError, match=rf"^U_i has shape {re.escape(str(U_i.shape))}, "
+                                                 r"expected \(units, input_dim\)$"):
+                LstmParams(**{**blocks, "U_i": U_i})
         with pytest.raises(ValueError, match="^unknown peephole mode 'none'$"):
             init_lstm_params(rng, 2, 3, peephole="none")
         with pytest.raises(ShapeError, match=r"^head shapes disagree: V=\(3, 2\) c=\(4,\)$"):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import os
 import re
@@ -312,6 +313,13 @@ class TestForwardSequence:
         with pytest.raises(ValueError, match="dropout_p"):
             tiny_net(seed=17, dropout=1.0)
 
+    def test_parameter_names_and_order(self):
+        # perfbench/tracer.py reads x, training and replay_from by position
+        # (1, 3 and 5) when a caller passes them positionally, so a renamed
+        # or reordered parameter would miscount the traced steps and modes.
+        assert list(inspect.signature(forward_sequence).parameters) == [
+            "net", "x", "label", "training", "rng", "replay_from"]
+
     def test_fixed_blend_clamped_holds_first_response_exactly(self):
         cfg = HistoricalConfig(tau=3, alpha_policy="clamped",
                                inference_policy="fixed_blend")
@@ -322,6 +330,112 @@ class TestForwardSequence:
             assert np.array_equal(trace.final_src, trace.layers[-1].h[0])
             assert all(r.branch in ("init", "blend")
                        for r in trace.hists[-1].records)
+
+
+def assert_same_trace(a, b):
+    """Two traces of one sequence, bit for bit: every layer array, mask,
+    per-step prediction, step record and historical state."""
+    for la, lb in zip(a.layers, b.layers, strict=True):
+        for name in ("x", "h", "c", "tc", "gates"):
+            assert np.array_equal(getattr(la, name), getattr(lb, name)), name
+    for ma, mb in zip(a.masks, b.masks, strict=True):
+        assert (ma is None and mb is None) or np.array_equal(ma, mb)
+    for pa, pb in zip(a.probs, b.probs, strict=True):
+        assert (pa is None and pb is None) or np.array_equal(pa, pb)
+    for ha, hb in zip(a.hists, b.hists, strict=True):
+        assert (ha is None) == (hb is None)
+        if ha is None:
+            continue
+        assert ha.eps_l == hb.eps_l and np.array_equal(ha.l, hb.l)
+        for ra, rb in zip(ha.records, hb.records, strict=True):
+            assert (ra.branch, ra.eps_h, ra.eps_l_prev, ra.eps_l_new, ra.alpha) == \
+                (rb.branch, rb.eps_h, rb.eps_l_prev, rb.eps_l_new, rb.alpha)
+            assert (ra.weights is None) == (rb.weights is None)
+            assert ra.weights is None or np.array_equal(ra.weights, rb.weights)
+        for la, lb in zip(ha.l_history, hb.l_history, strict=True):
+            assert np.array_equal(la, lb)
+    assert np.array_equal(a.final_src, b.final_src)
+    assert np.array_equal(a.final_probs, b.final_probs)
+
+
+class TestTrainingBatch:
+    """A live training pass over a batch (B, T, D): row b is bit for bit the
+    pass over sequence b alone, masks drawn in the same generator order."""
+
+    B, T = 5, 9
+
+    def net(self, seed, placement, peephole, use_historical=True, **hist):
+        # random heads without biases make the recursion blend and truncate
+        rng = np.random.default_rng(seed)
+        net = build_network(rng, 2, (4, 3, 3), 3, dropout_p=0.3,
+                            hist_cfg=HistoricalConfig(tau=2, **hist), hist_placement=placement,
+                            peephole=peephole, use_historical=use_historical)
+        net.theta[...] = 0.8 * rng.standard_normal(net.theta.size)
+        for scorer in filter(None, net.scorers):
+            scorer[0].c[...] = 0.0
+            scorer[1].c[...] = 0.0
+        return net
+
+    def check(self, net, seed):
+        data = np.random.default_rng([seed, 1])
+        X = 1.5 * data.standard_normal((self.B, self.T, 2))
+        labels = data.integers(3, size=self.B)
+        rng, alone = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 2])
+        with np.errstate(over="ignore", divide="ignore"):
+            batch = forward_sequence(net, X, label=labels, training=True, rng=rng)
+            rows = [forward_sequence(net, X[b], label=int(labels[b]), training=True, rng=alone)
+                    for b in range(self.B)]
+        assert rng.bit_generator.state == alone.bit_generator.state
+        for lt, u in zip(batch.layers, net.layer_units, strict=True):
+            assert lt.h.shape == lt.c.shape == (self.B, self.T, u)
+            assert lt.gates.shape == (self.B, self.T, 4, u)
+        assert [m.shape for m in batch.masks] == [(self.B, self.T, 4), (self.B, self.T, 3)]
+        branches = set()
+        for b, single in enumerate(rows):
+            mine = batch.row(b)
+            assert_same_trace(mine, single)
+            y = int(labels[b])
+            assert np.array_equal(backward_sequence(net, mine, y, 0.5, 0.004),
+                                  backward_sequence(net, single, y, 0.5, 0.004))
+            branches |= {r.branch for h in single.hists if h is not None for r in h.records}
+        return branches
+
+    @pytest.mark.parametrize("peephole", PEEPHOLE_MODES)
+    @pytest.mark.parametrize("placement", HIST_PLACEMENTS)
+    @pytest.mark.parametrize("window", WINDOW_MODES)
+    @pytest.mark.parametrize("alpha", ALPHA_POLICIES)
+    def test_rows_are_their_own_passes(self, alpha, window, placement, peephole):
+        seed = 3 * ALPHA_POLICIES.index(alpha) + WINDOW_MODES.index(window)
+        net = self.net(seed, placement, peephole, alpha_policy=alpha, window_mode=window)
+        assert {"blend", "trunc"} <= self.check(net, seed)
+
+    @pytest.mark.parametrize("placement", HIST_PLACEMENTS)
+    def test_without_historical_layer(self, placement):
+        assert self.check(self.net(7, placement, "diag", use_historical=False), 7) == set()
+
+    def test_errors(self):
+        net = self.net(8, "top", "diag")
+        X, rng = np.zeros((3, 4, 2)), np.random.default_rng(0)
+        with pytest.raises(ShapeError, match=r"^a training batch must be a \(B, T, D\) array with "
+                                             r"B, T >= 1 and labels \(B,\), got \(3, 4, 2\) and "
+                                             r"labels \(2,\)$"):
+            forward_sequence(net, X, label=np.zeros(2, dtype=int), training=True, rng=rng)
+        for label in (0, np.zeros((3, 1), dtype=int)):  # only labels (B,) make a batch
+            with pytest.raises(ShapeError, match="^a sequence must be a"):
+                forward_sequence(net, X, label=label, training=True, rng=rng)
+        for bad in (np.zeros((0, 4, 2)), np.zeros((3, 0, 2)), np.zeros((4, 2))):
+            with pytest.raises(ShapeError, match="^a training batch must be"):
+                forward_sequence(net, bad, label=np.zeros(len(bad), dtype=int), training=True,
+                                 rng=rng)
+        with pytest.raises(ShapeError, match=r"^sequence has feature dim 3, network expects 2$"):
+            forward_sequence(net, np.zeros((3, 4, 3)), label=np.zeros(3, dtype=int),
+                             training=True, rng=rng)
+        X[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="^sequence contains non-finite features$"):
+            forward_sequence(net, X, label=np.zeros(3, dtype=int), training=True, rng=rng)
+        with pytest.raises(ValueError, match="generator"):
+            forward_sequence(net, np.zeros((3, 4, 2)), label=np.zeros(3, dtype=int),
+                             training=True)
 
 
 class TestScoringTable:
@@ -1045,7 +1159,7 @@ class TestFusedGates:
         net, rng = self.layer(units, peephole, seed=60 + units)
         for T in (1, 6, 30, 480, 1920):
             X = rng.standard_normal((T, self.D))
-            lt = _layer_forward(net.gates[0], X)
+            lt = _layer_forward(net.gates[0], X, keep=True)
             p = lstm_params(net, 0)
             H, C, TC, I, F, G, O = per_gate_forward(p, X)
             assert np.array_equal(lt.h, H) and np.array_equal(lt.c, C)
@@ -1089,9 +1203,13 @@ class TestFusedGates:
             X = rng.standard_normal((B, T, self.D))
             lt = _layer_forward(net.gates[0], X)
             assert lt.h.shape == (B, T, units) and (lt.c, lt.tc, lt.gates) == (None,) * 3
+            kept = _layer_forward(net.gates[0], X, keep=True)  # a training batch's
             for b in range(B):
-                want, *_ = per_gate_forward(p, X[b])
-                assert np.array_equal(lt.h[b], want), (T, b)
+                H, C, TC, I, F, G, O = per_gate_forward(p, X[b])
+                assert np.array_equal(lt.h[b], H), (T, b)
+                assert np.array_equal(kept.h[b], H) and np.array_equal(kept.c[b], C)
+                assert np.array_equal(kept.tc[b], TC)
+                assert np.array_equal(kept.gates[b], np.stack([I, F, G, O], axis=1)), (T, b)
 
     def test_gate_blocks_are_the_named_blocks_side_by_side(self):
         for peephole in PEEPHOLE_MODES:

@@ -143,6 +143,22 @@ class TestCrossEntropy:
             assert loss == cross_entropy(row, y)
         assert cross_entropy(P[:0], labels[:0]).shape == (0,)
 
+    @pytest.mark.parametrize("shape", [(2, 4), (480, 4), (2, 480, 4), (32, 30, 4)])
+    def test_label_array_equals_the_one_label_path_row_by_row(self, shape):
+        # the (B, T) labels of a batch against one label per element, and
+        # against one label per row: the stacked call with that row's label
+        rng = np.random.default_rng(len(shape) * 1000 + shape[0])
+        P = softmax(rng.standard_normal(shape) * 6)
+        labels = rng.integers(shape[-1], size=shape[:-1])
+        losses = cross_entropy(P, labels)
+        assert losses.shape == shape[:-1]
+        for idx in np.ndindex(shape[:-1]):
+            assert losses[idx] == cross_entropy(P[idx], int(labels[idx]))
+        rows = np.broadcast_to(labels[..., :1], labels.shape).copy()  # one label per row
+        per_row = cross_entropy(P, rows)
+        for b in range(shape[0]):
+            assert np.array_equal(per_row[b], cross_entropy(P[b], int(rows[b].flat[0])))
+
     def test_per_row_label_out_of_range_or_misshapen(self):
         P = np.full((3, 2), 0.5)
         for bad in (2, -1):

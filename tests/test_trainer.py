@@ -1,6 +1,7 @@
 """Tests for the optimization loop: schedule, Adam, batching, k-fold,
 training determinism, and the finite-difference harness."""
 
+import hashlib
 import itertools
 import warnings
 
@@ -384,6 +385,90 @@ class TestBatchGradients:
             _batch_gradients(net, ds, [2, 0], cfg, np.random.default_rng(0))
 
 
+class TestTrainingBatches:
+    """_batch_gradients' training forwards over runs of equal-length rows."""
+
+    def test_pieces_are_runs_of_one_length_within_the_budget(self, monkeypatch):
+        ds = mixed_length_dataset(seed=3)
+        order = np.random.default_rng(4).permutation(len(ds))
+        monkeypatch.setattr(trainer, "TRAIN_STEP_BUDGET", 10)  # 10, 5, 2, 1 and 1 rows
+        pieces = list(trainer._equal_length_runs(ds, order))
+        assert [i for piece in pieces for i in piece] == order.tolist()
+        for piece, after in zip(pieces, pieces[1:] + [None]):
+            T = ds.sequences[piece[0]].T
+            assert {ds.sequences[i].T for i in piece} == {T}
+            cap = max(1, 10 // T)
+            assert len(piece) <= cap
+            if after is not None and ds.sequences[after[0]].T == T:
+                assert len(piece) == cap  # a run is cut only at the budget
+
+    def test_a_refused_batch_restores_the_generator_and_runs_its_rows_alone(self, monkeypatch):
+        # the batch forward draws from the generator, then raises: the rows
+        # rerun one sequence at a time from the state before it, and give
+        # the bits of one-row pieces
+        ds = separable_dataset(n_per_class=3)
+        cfg = tiny_cfg(layer_units=(4, 3), dropout_p=0.3, use_historical=True)
+        net = cfg.build(np.random.default_rng(3), ds.dim, ds.n_classes)
+        batch = [4, 0, 5, 2, 1]
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "TRAIN_STEP_BUDGET", 1)
+            ref_rng = np.random.default_rng(6)
+            want = _batch_gradients(net, ds, batch, cfg, ref_rng)
+        real, shapes = trainer.forward_sequence, []
+
+        def refuse_batches(net, x, label=None, training=False, rng=None, replay_from=None):
+            shapes.append(np.shape(x))
+            if np.ndim(x) == 3:
+                rng.random(7)
+                raise ValueError("batch refused")
+            return real(net, x, label, training, rng, replay_from)
+
+        monkeypatch.setattr(trainer, "forward_sequence", refuse_batches)
+        rng = np.random.default_rng(6)
+        got = _batch_gradients(net, ds, batch, cfg, rng)
+        assert shapes == [(5, 5, 6)] + [(5, 6)] * 5
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+    def test_nan_in_a_later_row_names_it(self):
+        ds = separable_dataset(n_per_class=3)
+        ds.sequences[5].frames[3, 1] = np.nan
+        cfg = tiny_cfg(use_historical=True)
+        net = cfg.build(np.random.default_rng(3), ds.dim, ds.n_classes)
+        with pytest.raises(ValueError, match=rf"^{ds.sequences[5].id}: sequence contains "
+                                             r"non-finite features$"):
+            _batch_gradients(net, ds, [1, 0, 5, 2], cfg, np.random.default_rng(0))
+
+    def test_literal_overflow_in_a_later_row_names_it_and_its_step(self, monkeypatch):
+        # one piece of four T=400 rows (the budget raised for it), in batch
+        # order row1, row0, row3, row2: the constant frames of row3 and row2
+        # blend with the literal alpha until l overflows, row3 first
+        real = trainer.build_network
+
+        def crafted(*args, **kwargs):
+            net = real(*args, **kwargs)
+            net.theta[...] = 0.0
+            net.gates[0].U[...] = 1.0
+            net.per_step_head.V[1] = 5.0
+            net.final_head.c[0] = 50.0
+            return net
+
+        monkeypatch.setattr(trainer, "build_network", crafted)
+        monkeypatch.setattr(trainer, "TRAIN_STEP_BUDGET", 1600, raising=False)
+        frames = [np.zeros((400, 1)), np.zeros((400, 1)), np.full((400, 1), 1.0),
+                  np.full((400, 1), -1.0)]
+        ds = Dataset([FeatureSequence(frames=f, label=0, id=f"row{i}")
+                      for i, f in enumerate(frames)], n_classes=20)
+        cfg = TrainConfig(layer_units=(1,), alpha_policy="literal", dropout_p=0.0,
+                          batch_size=4, epochs=1, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as caught:
+                train(ds, cfg)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == ("row3: historical state is not finite at step t=336 "
+                                     "(blend branch, alpha=-7.453758323092085)")
+
+
 class TestTrain:
     def test_deterministic_given_seed(self):
         ds = separable_dataset(n_per_class=4)
@@ -440,6 +525,46 @@ class TestTrain:
         net, m = train(ds, cfg)
         assert np.all(np.isfinite(net.flatten_params()))
         assert m.accuracy > 0.4
+
+
+def golden_dataset():
+    """24 sequences of lengths 5 and 8 in D=3, 3 classes, in shuffled order,
+    so a shuffled mini-batch holds runs of equal-length rows."""
+    rng = np.random.default_rng(2026)
+    seqs = []
+    for i, T in enumerate(rng.permutation([5] * 16 + [8] * 8)):
+        frames = rng.standard_normal((T, 3))
+        frames[:, i % 3] += 1.0
+        seqs.append(FeatureSequence(frames=frames, label=i % 3, id=f"g{i}"))
+    return Dataset(seqs, n_classes=3)
+
+
+class TestGoldenTraining:
+    """sha256 of theta's bytes and the loss curve's repr after train(),
+    pinned before the training forward ran mini-batches as row batches."""
+
+    @pytest.mark.parametrize("options, digest", [
+        (dict(layer_units=(4, 3, 3), hist_placement="all", dropout_p=0.2),  # mask order
+         "7f5f0678d0bd4d1f161b78c13869c48b6bd2c8abc429ed60c3c90bd0dd69e73d"),
+        (dict(layer_units=(4,), window_mode="literal", alpha_policy="literal"),
+         "9de7a993eebf29f8d50c9e6fcc56ced071a2029f637399e44f51e144d7f69335"),
+        (dict(layer_units=(4, 3), peephole="full", dropout_p=0.2),
+         "49197eb126f9678109f310b12160c22f5213f8e38e0495cceeedbb93ac25a48f"),
+        (dict(layer_units=(4, 3), use_historical=False, dropout_p=0.2),
+         "6cac10d7a3c98ee863ffb639ea78dfae5a5aafb43f0fedfb58282b3ca97b766d"),
+    ], ids=["all-3-layers-dropout", "literal-window-literal-alpha", "full-peepholes", "plain"])
+    def test_digest(self, options, digest, monkeypatch):
+        cfg = TrainConfig(epochs=2, batch_size=8, lr0=0.01, l2=0.001, seed=5, tau=2,
+                          lambda_aux=0.5, **{"dropout_p": 0.0, **options})
+        runs = []
+        for budget in (None, 6):  # 6: one row at a time at T=5 and T=8
+            with monkeypatch.context() as m:
+                if budget is not None:
+                    m.setattr(trainer, "TRAIN_STEP_BUDGET", budget, raising=False)
+                net, metrics = train(golden_dataset(), cfg)
+            runs.append(hashlib.sha256(net.theta.tobytes()
+                                       + repr(metrics.loss_curve).encode()).hexdigest())
+        assert runs == [digest, digest]
 
 
 class TestKfold:
