@@ -441,6 +441,9 @@ def _eval_historical(net: StackedNetwork, k: int, H: np.ndarray, step_probs: np.
     def loss(S, t):  # each row's step_loss against its y_t
         return cross_entropy(head_predict(l_head, S[:, None, :])[:, 0], ys[:, t])
 
+    def mix(alpha, t):  # each row's blend of h_t into l_{t-1}
+        return alpha[:, None] * H[:, t] + (1.0 - alpha)[:, None] * L[:, t - 1]
+
     S = None
     if cfg.window_mode == "sliding" and ys is not None:  # fixed_blend never truncates
         S = truncation_states(H, cfg.tau)
@@ -452,14 +455,18 @@ def _eval_historical(net: StackedNetwork, k: int, H: np.ndarray, step_probs: np.
         if changed is not None and changed[:, t - 1].any():
             eps_l = np.where(changed[:, t - 1], loss(L[:, t - 1], t), eps_l)
         blend = eps_h[:, t] >= eps_l  # an infinite eps_h blends: compute_alpha rejects it
-        if not blend.all():
-            n = len(truncation_weights(t + 1, cfg.tau, cfg.window_mode))
-            l = S[:, t] if S is not None else window_mean(np.swapaxes(H[:, t + 1 - n:t + 1], 0, 1))
-        if blend.any():
-            alpha = np.zeros(len(H))
-            alpha[blend] = compute_alpha(eps_l[blend], eps_h[blend, t], cfg.alpha_policy)
-            mix = alpha[:, None] * H[:, t] + (1.0 - alpha)[:, None] * L[:, t - 1]
-            l = mix if blend.all() else np.where(blend[:, None], mix, l)
+        if blend.all():
+            l = mix(compute_alpha(eps_l, eps_h[:, t], cfg.alpha_policy), t)
+        else:
+            if S is not None:
+                l = S[:, t]
+            else:  # a literal window
+                n = len(truncation_weights(t + 1, cfg.tau, cfg.window_mode))
+                l = window_mean(np.swapaxes(H[:, t + 1 - n:t + 1], 0, 1))
+            if blend.any():
+                alpha = np.zeros(len(H))
+                alpha[blend] = compute_alpha(eps_l[blend], eps_h[blend, t], cfg.alpha_policy)
+                l = np.where(blend[:, None], mix(alpha, t), l)
         if not np.isfinite(l).all():
             raise ValueError(f"historical state is not finite at step t={t + 1}")
         L[:, t] = l

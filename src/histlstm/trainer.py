@@ -178,7 +178,8 @@ def _naming(seq: FeatureSequence, index: int):
         raise type(exc)(f"{seq.id or f'sequence {index}'}: {exc}") from exc
 
 
-EVAL_STEP_BUDGET = 960  # evaluate's batches: max(1, EVAL_STEP_BUDGET // T) rows of length T
+EVAL_STEP_BUDGET = 3840  # evaluate's batches: max(1, min(EVAL_ROWS, EVAL_STEP_BUDGET // T))
+EVAL_ROWS = 32  # at most, so that short sequences' batches stay small in memory
 TRAIN_STEP_BUDGET = 480  # training forwards: max(1, TRAIN_STEP_BUDGET // T) rows of length T
 
 
@@ -197,7 +198,7 @@ def evaluate(net: StackedNetwork, dataset: Dataset) -> Metrics:
         by_length.setdefault(len(seq.frames), []).append(index)
     try:
         for T, group in by_length.items():
-            rows = max(1, EVAL_STEP_BUDGET // T)
+            rows = max(1, min(EVAL_ROWS, EVAL_STEP_BUDGET // T))
             for idx in (group[lo:lo + rows] for lo in range(0, len(group), rows)):
                 probs = eval_final_probs(net, np.stack([dataset.sequences[i].frames for i in idx]))
                 np.add.at(confusion, (labels[idx], np.argmax(probs, axis=1)), 1)

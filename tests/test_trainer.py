@@ -315,6 +315,40 @@ class TestBatchedEvaluate:
     def test_without_historical_layer(self, monkeypatch):
         assert self.check(self.net(seed=4, use_historical=False), monkeypatch) == (set(), 0)
 
+    @pytest.mark.parametrize("inference", INFERENCE_POLICIES)
+    def test_default_batch_rule(self, inference, monkeypatch):
+        """The real constants: 8 rows at T=480, 32 at T=30, and a sequence
+        longer than the budget alone, each row its own forward's bits."""
+        rng = np.random.default_rng(7)
+        lengths = rng.permutation([480] * 16 + [30] * 70 + [4000])
+        ds = Dataset([FeatureSequence(frames=2.0 * rng.standard_normal((T, 3)),
+                                      label=int(rng.integers(3)), id=f"s{i}")
+                      for i, T in enumerate(lengths)], n_classes=3)
+        net = self.net(seed=6, alpha_policy="inverse_loss", inference_policy=inference)
+        batches = []
+
+        def spy(net, X):
+            batches.append((X, eval_final_probs(net, X)))
+            return batches[-1][1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate fell back to the per-sequence loop")
+
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "eval_final_probs", spy)
+            m.setattr(trainer, "forward_sequence", refuse)
+            metrics = evaluate(net, ds)
+        assert sorted(X.shape[:2] for X, _ in batches) == [(1, 4000), (6, 30), (8, 480), (8, 480),
+                                                           (32, 30), (32, 30)]
+        assert np.array_equal(metrics.confusion, per_sequence_confusion(net, ds))
+        branches = set()
+        for X, probs in (batch for batch in batches if batch[0].shape[1] == 480):
+            for x, p in zip(X, probs):
+                trace = forward_sequence(net, x)
+                assert np.array_equal(p, trace.final_probs)
+                branches |= {r.branch for k in net.scored for r in trace.hists[k].records}
+        assert ("trunc" in branches) == (inference == "pseudo_label") and "blend" in branches
+
     def test_empty_dataset_reads_zero(self):
         m = evaluate(self.net(seed=5), Dataset([], n_classes=3))
         assert m.accuracy == 0.0 and not m.confusion.any()
