@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -121,7 +122,7 @@ def truncation_weights(t: int, tau: int, mode: str) -> np.ndarray:
 
     literal: n = t - tau. sliding: n = min(tau, t), which a literal window
     also takes while it is degenerate (t <= tau). Both modes return n
-    uniform weights 1/n.
+    uniform weights 1/n, one read-only array per n that every caller shares.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -129,8 +130,14 @@ def truncation_weights(t: int, tau: int, mode: str) -> np.ndarray:
         raise ValueError(f"tau must be >= 1, got {tau}")
     if mode not in WINDOW_MODES:
         raise ValueError(f"unknown window mode {mode!r}")
-    n = t - tau if mode == "literal" and t > tau else min(tau, t)
-    return np.full(n, 1.0 / n)
+    return _uniform(t - tau if mode == "literal" and t > tau else min(tau, t))
+
+
+@lru_cache(maxsize=16)  # sliding windows take n <= tau; a literal one's n grows with t
+def _uniform(n: int) -> np.ndarray:
+    w = np.full(n, 1.0 / n)
+    w.flags.writeable = False
+    return w
 
 
 def window_mean(window: np.ndarray) -> np.ndarray:
@@ -169,7 +176,7 @@ def initial_trace(h1: np.ndarray, loss_fn: LossFn) -> HistoricalTrace:
     recorded as the one-response window it is."""
     eps_l = loss_fn(h1)
     rec = StepRecord(branch="init", eps_h=eps_l, eps_l_prev=eps_l, eps_l_new=eps_l,
-                     weights=np.ones(1))
+                     weights=_uniform(1))
     return HistoricalTrace(
         l=h1, h_buffer=[h1], eps_l=eps_l, records=[rec], l_history=[h1]
     )

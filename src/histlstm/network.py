@@ -410,8 +410,9 @@ def _run_historical(
         ys, eps_h = inference_losses(step_probs, cfg.inference_policy)
         targets = [None] * len(H) if ys is None else ys.tolist()
     eps_h = eps_h.tolist()
-    scorers = [(lambda s: 1.0) if y is None else partial(step_loss, l_head, label=y)
-               for y in targets]
+    scorer_of = {y: (lambda s: 1.0) if y is None else partial(step_loss, l_head, label=y)
+                 for y in set(targets)}
+    scorers = [scorer_of[y] for y in targets]
     S = None
     if cfg.window_mode == "sliding" and ys is not None:  # fixed_blend never truncates
         S = truncation_states(H, cfg.tau)

@@ -180,7 +180,8 @@ def _naming(seq: FeatureSequence, index: int):
 
 EVAL_STEP_BUDGET = 3840  # evaluate's batches: max(1, min(EVAL_ROWS, EVAL_STEP_BUDGET // T))
 EVAL_ROWS = 32  # at most, so that short sequences' batches stay small in memory
-TRAIN_STEP_BUDGET = 480  # training forwards: max(1, TRAIN_STEP_BUDGET // T) rows of length T
+TRAIN_STEP_BUDGET = 960  # training pieces: max(1, min(TRAIN_ROWS, TRAIN_STEP_BUDGET // T))
+TRAIN_ROWS = 16  # at most; a piece keeps every row's gates and cells for its backward
 
 
 def evaluate(net: StackedNetwork, dataset: Dataset) -> Metrics:
@@ -215,9 +216,9 @@ def evaluate(net: StackedNetwork, dataset: Dataset) -> Metrics:
 
 def _equal_length_runs(dataset: Dataset, batch_idx: Sequence[int]) -> Iterable[list]:
     """batch_idx in order, cut into runs of consecutive rows of one length T
-    and each run into pieces of at most max(1, TRAIN_STEP_BUDGET // T) rows."""
+    and each run into pieces of at most max(1, min(TRAIN_ROWS, TRAIN_STEP_BUDGET // T)) rows."""
     for T, run in itertools.groupby(batch_idx, key=lambda i: dataset.sequences[i].T):
-        run, rows = list(run), max(1, TRAIN_STEP_BUDGET // T)
+        run, rows = list(run), max(1, min(TRAIN_ROWS, TRAIN_STEP_BUDGET // T))
         yield from (run[lo:lo + rows] for lo in range(0, len(run), rows))
 
 

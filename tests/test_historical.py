@@ -172,6 +172,15 @@ class TestTruncationWeights:
                     assert np.all(w > 0.0)
                     assert abs(w.sum() - 1.0) < 1e-12
 
+    def test_one_shared_read_only_array_per_length(self):
+        for n in (1, 2, 3, 7, 100):
+            w = truncation_weights(n + 1, 1, "literal")
+            assert w.tobytes() == np.full(n, 1.0 / n).tobytes() and w.dtype == np.float64
+            assert truncation_weights(n + 1, 1, "literal") is w
+            with pytest.raises(ValueError, match="read-only"):
+                w[0] = 0.5
+        assert truncation_weights(9, 3, "sliding") is truncation_weights(5, 2, "literal")
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             truncation_weights(0, 2, "sliding")

@@ -436,6 +436,51 @@ class TestTrainingBatches:
             if after is not None and ds.sequences[after[0]].T == T:
                 assert len(piece) == cap  # a run is cut only at the budget
 
+    def test_default_piece_rule(self, monkeypatch):
+        """The real constants: 16 rows at T=30, 2 at T=480 and 1 at T=1000,
+        each piece's gradient and every trained bit those of one-row pieces."""
+        rng = np.random.default_rng(8)
+        lengths = rng.permutation([480] * 5 + [30] * 35 + [1000] * 2)
+        ds = Dataset([FeatureSequence(frames=2.0 * rng.standard_normal((T, 3)),
+                                      label=int(rng.integers(3)), id=f"s{i}")
+                      for i, T in enumerate(lengths)], n_classes=3)
+        cfg = tiny_cfg(layer_units=(4, 3), hist_placement="all", dropout_p=0.2,
+                       use_historical=True, batch_size=4)
+        net = cfg.build(np.random.default_rng(3), ds.dim, ds.n_classes)
+        real, shapes, branches = trainer.forward_sequence, [], set()
+
+        def spy(net, x, label=None, training=False, rng=None, replay_from=None):
+            trace = real(net, x, label, training, rng, replay_from)
+            shapes.append(np.shape(x))
+            branches.update(r.branch for k in net.scored for hist in trace.hists[k]
+                            for r in hist.records)
+            return trace
+
+        def run(budget, fn, *args):
+            with monkeypatch.context() as m:
+                m.setattr(trainer, "forward_sequence", spy)
+                if budget is not None:
+                    m.setattr(trainer, "TRAIN_STEP_BUDGET", budget)
+                return fn(*args)
+
+        by_length = np.argsort(lengths, kind="stable")  # runs of 35, 5 and 2 rows
+        got = run(None, _batch_gradients, net, ds, by_length, cfg, np.random.default_rng(6))
+        assert shapes == ([(16, 30, 3)] * 2 + [(3, 30, 3)] + [(2, 480, 3)] * 2
+                          + [(1, 480, 3)] + [(1, 1000, 3)] * 2)
+        want = run(1, _batch_gradients, net, ds, by_length, cfg, np.random.default_rng(6))
+        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+
+        # 10 rows of T=480 in mini-batches of 4, 4 and 2: five 2-row pieces an epoch
+        long_rows = Dataset([ds.sequences[i] for i in np.flatnonzero(lengths == 480)] * 2, 3)
+        shapes.clear()
+        runs = []
+        for budget in (None, 1):
+            net, metrics = run(budget, train, long_rows, cfg)
+            runs.append((net.theta.tobytes(), repr(metrics.loss_curve)))
+            if budget is None:
+                assert shapes == [(2, 480, 3)] * 10
+        assert runs[0] == runs[1] and {"blend", "trunc"} <= branches
+
     def test_a_refused_batch_restores_the_generator_and_runs_its_rows_alone(self, monkeypatch):
         # the batch forward draws from the generator, then raises: the rows
         # rerun one sequence at a time from the state before it, and give
