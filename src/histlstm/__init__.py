@@ -24,6 +24,7 @@ from .dataio import (
 from .historical import (
     HistoricalConfig,
     HistoricalTrace,
+    Schedule,
     StepRecord,
     compute_alpha,
     historical_update,

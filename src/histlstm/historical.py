@@ -18,7 +18,7 @@ independent sequence evaluations never share mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -84,6 +84,39 @@ class HistoricalTrace:
     @property
     def t(self) -> int:
         return len(self.h_buffer)
+
+
+BRANCHES = ("init", "blend", "trunc")  # a Schedule's branch codes
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """A batch's recursion as (B, T) arrays: branch codes (into BRANCHES), alpha (0 off a
+    blend), window length n (0 on a blend), eps_h, eps_l_prev, eps_l_new; states L (B, T, U).
+    Row schedule[b] reads as a HistoricalTrace, whose records it builds when read."""
+
+    branch: np.ndarray
+    alpha: np.ndarray
+    n: np.ndarray
+    eps_h: np.ndarray
+    eps_l_prev: np.ndarray
+    eps_l_new: np.ndarray
+    L: np.ndarray
+
+    def __getitem__(self, b) -> "Schedule":
+        return Schedule(*(getattr(self, f.name)[b] for f in fields(self)))
+
+    l = property(lambda self: self.L[..., -1, :])
+    eps_l = property(lambda self: self.eps_l_new[..., -1])
+    l_history = property(lambda self: list(np.moveaxis(self.L, -2, 0)))  # l_t (..., U) by t
+
+    @property
+    def records(self) -> list:
+        steps = zip(self.branch.tolist(), self.eps_h.tolist(), self.eps_l_prev.tolist(),
+                    self.eps_l_new.tolist(), self.alpha.tolist(), self.n.tolist())
+        return [StepRecord(BRANCHES[code], eps_h, prev, new, alpha if code == 1 else None,
+                           _uniform(n) if n else None)
+                for code, eps_h, prev, new, alpha, n in steps]
 
 
 def compute_alpha(eps_l_prev, eps_h, policy: str):

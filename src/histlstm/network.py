@@ -33,6 +33,7 @@ from .historical import (
     WINDOW_MODES,
     HistoricalConfig,
     HistoricalTrace,
+    Schedule,
     compute_alpha,
     historical_update,
     inference_losses,
@@ -286,7 +287,7 @@ class LayerTrace:
 
     x: np.ndarray  # (T, in_dim) inputs actually fed (post-dropout of the layer below)
     h: np.ndarray  # (T, U)
-    # The rest only BPTT reads, so a stacked pass and an eval batch leave them None.
+    # The rest only BPTT reads, so a stacked pass and an eval pass leave them None.
     c: Optional[np.ndarray]  # (T, U)
     tc: Optional[np.ndarray]  # tanh(c), cached
     gates: Optional[np.ndarray]  # (T, 4, U): the i, f, g, o activations
@@ -294,13 +295,13 @@ class LayerTrace:
 
 @dataclass
 class ForwardTrace:
-    """One pass's trace; a training batch's has a leading B on every array,
-    and its hists[k] holds one HistoricalTrace per row (see row)."""
+    """One pass's trace; a batch's has a leading B on every array, and its
+    hists[k] is a HistoricalTrace per row (training) or a Schedule (see row)."""
 
     layers: list  # of LayerTrace
     masks: list  # per layer boundary: (T, U) 0/1 mask, or None
-    hists: list  # per layer: HistoricalTrace or None
-    probs: list  # per layer: (T, C) per-step predictions where scorers has a head, else None
+    hists: list  # per layer: HistoricalTrace, Schedule row or None
+    probs: list  # per layer: (T, C) per-step predictions where the pass scores them, else None
     final_src: np.ndarray  # the vector the final head saw (l_T or h_T)
     final_probs: np.ndarray  # (C,)
 
@@ -313,15 +314,9 @@ class ForwardTrace:
         def pick(a):
             return None if a is None else a[b]
 
-        return ForwardTrace(
-            layers=[LayerTrace(*map(pick, (lt.x, lt.h, lt.c, lt.tc, lt.gates)))
-                    for lt in self.layers],
-            masks=list(map(pick, self.masks)),
-            hists=list(map(pick, self.hists)),
-            probs=list(map(pick, self.probs)),
-            final_src=self.final_src[b],
-            final_probs=self.final_probs[b],
-        )
+        layers = [LayerTrace(*map(pick, (lt.x, lt.h, lt.c, lt.tc, lt.gates))) for lt in self.layers]
+        lists = (list(map(pick, a)) for a in (self.masks, self.hists, self.probs))
+        return ForwardTrace(layers, *lists, self.final_src[b], self.final_probs[b])
 
 
 def _layer_forward(p: GateBlocks, X: np.ndarray, keep: bool = False) -> LayerTrace:
@@ -329,9 +324,6 @@ def _layer_forward(p: GateBlocks, X: np.ndarray, keep: bool = False) -> LayerTra
     batch X (B, T, D), or stacked parameters (leading K; X (T, D) or (K, T,
     D)), gives every array a leading B or K, each row with its own bits. keep
     also stores c, tanh c and the gates, which only BPTT reads."""
-    if X.ndim == 3 and len(X) == 1 and p.U.ndim == 2:  # a batch of one runs as the sequence
-        lt = _layer_forward(p, X[0], keep)
-        return LayerTrace(X, *(a if a is None else a[None] for a in (lt.h, lt.c, lt.tc, lt.gates)))
     T = X.shape[-2]
     stacked = p.U.ndim == 3
     diag = p.P.ndim == p.U.ndim  # (…, 3, U) against (…, 3, U, U)
@@ -384,17 +376,14 @@ def _run_historical(
     label: Optional[int],
     replay_records: Optional[list],
 ) -> HistoricalTrace:
-    """Drive the historical recursion over one layer's responses.
+    """Drive the training-mode recursion over one layer's responses.
 
     With replay_records the recorded branch schedule is applied verbatim and
     neither losses nor policies are consulted; a stacked network's H is
-    (K, T, U) and every state is (K, U). A live pass scores step t's states
-    against y_t: the label if given (training), else the inference policy's
-    stand-in (None scores 1). l_{t-1} is rescored when y_t changes. A live
-    sliding pass with targets forms and scores every step's truncation state
-    before its first step; a literal batch would cost O(T^2), so each literal
-    truncation, like each replayed one, sums its own window.
-    """
+    (K, T, U) and every state is (K, U). A live pass scores states against
+    the label, a sliding one forming and scoring every truncation state
+    first; a literal batch would cost O(T^2), so each literal truncation,
+    like each replayed one, sums its own window."""
     l_head = net.scorers[k][1]
     cfg = net.hist_cfg
     if replay_records is not None:
@@ -403,41 +392,35 @@ def _run_historical(
         for t in range(1, len(steps)):
             hist = replay_update(hist, steps[t], replay_records[t])
         return hist
-    if label is not None:
-        ys, eps_h = label, cross_entropy(step_probs, label)
-        targets = [label] * len(H)
-    else:
-        ys, eps_h = inference_losses(step_probs, cfg.inference_policy)
-        targets = [None] * len(H) if ys is None else ys.tolist()
-    eps_h = eps_h.tolist()
-    scorer_of = {y: (lambda s: 1.0) if y is None else partial(step_loss, l_head, label=y)
-                 for y in set(targets)}
-    scorers = [scorer_of[y] for y in targets]
-    S = None
-    if cfg.window_mode == "sliding" and ys is not None:  # fixed_blend never truncates
+    eps_h = cross_entropy(step_probs, label).tolist()
+    scorer = partial(step_loss, l_head, label=label)
+    truncs = [None] * len(H)  # each step's (state, loss), formed up front when sliding
+    if cfg.window_mode == "sliding":
         S = truncation_states(H, cfg.tau)
         # (T, 1, U): one matrix-vector product per row, the bits of
         # step_loss; a (T, U) @ (U, C) product sums in another order.
-        S_loss = cross_entropy(head_predict(l_head, S[:, None, :])[:, 0], ys).tolist()
-    hist = initial_trace(H[0], scorers[0])
+        S_loss = cross_entropy(head_predict(l_head, S[:, None, :])[:, 0], label).tolist()
+        truncs = list(zip(S, S_loss))
+    hist = initial_trace(H[0], scorer)
     for t in range(1, len(H)):
-        if targets[t] != targets[t - 1]:
-            hist = replace(hist, eps_l=scorers[t](hist.l))
-        trunc = None if S is None else (S[t], S_loss[t])
-        hist = historical_update(hist, H[t], eps_h[t], cfg, scorers[t], trunc)
+        hist = historical_update(hist, H[t], eps_h[t], cfg, scorer, truncs[t])
     return hist
 
 
 def _eval_historical(net: StackedNetwork, k: int, H: np.ndarray, step_probs: np.ndarray):
-    """_run_historical's evaluation-mode pass over each row of H (B, T, U),
-    scored by step_probs (B, T, C): L (B, T, U) holds l_1..l_T, each row bit
-    for bit, and no records. Each step updates every row and keeps its branch
-    by mask; a rescoring and a new state's loss are one (B, 1, U) head call
-    each (a (B, U) @ (U, C) product sums in another order), and a literal
-    window, one length in every row, is one window_mean over a slice of H."""
+    """The evaluation-mode recursion's Schedule over each row of H (B, T, U),
+    scored by step_probs (B, T, C) against the inference policy's y_t
+    (fixed_blend scores every state 1), l_{t-1} rescored when y_t changes:
+    each row bit for bit historical_update's. Each step updates every row and
+    keeps its branch by mask; a rescoring and a new state's loss are one (B,
+    1, U) head call each (a (B, U) @ (U, C) product sums in another order),
+    and a literal window, one length in every row, sums a slice of H."""
     l_head = net.scorers[k][1]
     cfg = net.hist_cfg
     ys, eps_h = inference_losses(step_probs, cfg.inference_policy)
+    B, T = H.shape[:2]
+    branch, n_bt = np.ones((B, T), dtype=np.int8), np.zeros((B, T), dtype=np.int64)
+    alpha_bt, eps_l_prev, eps_l_new = np.zeros((B, T)), np.empty((B, T)), np.empty((B, T))
 
     def loss(S, t):  # each row's step_loss against its y_t
         return cross_entropy(head_predict(l_head, S[:, None, :])[:, 0], ys[:, t])
@@ -449,33 +432,38 @@ def _eval_historical(net: StackedNetwork, k: int, H: np.ndarray, step_probs: np.
     if cfg.window_mode == "sliding" and ys is not None:  # fixed_blend never truncates
         S = truncation_states(H, cfg.tau)
         S_loss = cross_entropy(head_predict(l_head, S[:, :, None, :])[:, :, 0], ys)
-    L = H.copy()  # l_1 = h_1
-    eps_l = np.ones(len(H)) if ys is None else loss(H[:, 0], 0)
+    L = H.copy()  # l_1 = h_1, the window of one
+    eps_l = np.ones(B) if ys is None else loss(H[:, 0], 0)
+    branch[:, 0], n_bt[:, 0] = 0, 1  # init
+    eps_h[:, 0] = eps_l_prev[:, 0] = eps_l_new[:, 0] = eps_l
     changed = None if ys is None else ys[:, 1:] != ys[:, :-1]
-    for t in range(1, H.shape[1]):
+    for t in range(1, T):
         if changed is not None and changed[:, t - 1].any():
             eps_l = np.where(changed[:, t - 1], loss(L[:, t - 1], t), eps_l)
+        eps_l_prev[:, t] = eps_l
         blend = eps_h[:, t] >= eps_l  # an infinite eps_h blends: compute_alpha rejects it
+        alpha = alpha_bt[:, t]  # a view, 0 where a row truncates
         if blend.all():
-            l = mix(compute_alpha(eps_l, eps_h[:, t], cfg.alpha_policy), t)
+            alpha[:] = compute_alpha(eps_l, eps_h[:, t], cfg.alpha_policy)
+            l = mix(alpha, t)
         else:
-            if S is not None:
-                l = S[:, t]
-            else:  # a literal window
-                n = len(truncation_weights(t + 1, cfg.tau, cfg.window_mode))
-                l = window_mean(np.swapaxes(H[:, t + 1 - n:t + 1], 0, 1))
+            n = len(truncation_weights(t + 1, cfg.tau, cfg.window_mode))
+            l = window_mean(np.swapaxes(H[:, t + 1 - n:t + 1], 0, 1)) if S is None else S[:, t]
             if blend.any():
-                alpha = np.zeros(len(H))
                 alpha[blend] = compute_alpha(eps_l[blend], eps_h[blend, t], cfg.alpha_policy)
                 l = np.where(blend[:, None], mix(alpha, t), l)
+            branch[:, t], n_bt[:, t] = np.where(blend, 1, 2), np.where(blend, 0, n)
         if not np.isfinite(l).all():
-            raise ValueError(f"historical state is not finite at step t={t + 1}")
+            b = int(np.argmin(np.isfinite(l).all(axis=1)))  # the first row that fails
+            what = f"blend branch, alpha={alpha[b]}" if blend[b] else "trunc branch, alpha=None"
+            raise ValueError(f"historical state is not finite at step t={t + 1} ({what})")
         L[:, t] = l
         if S is not None:  # a sliding truncation state comes scored
             eps_l = np.where(blend, loss(l, t), S_loss[:, t]) if blend.any() else S_loss[:, t]
         elif ys is not None:
             eps_l = loss(l, t)
-    return L
+        eps_l_new[:, t] = eps_l
+    return Schedule(branch, alpha_bt, n_bt, eps_h, eps_l_prev, eps_l_new, L)
 
 
 def forward_sequence(
@@ -486,17 +474,17 @@ def forward_sequence(
     rng: Optional[np.random.Generator] = None,
     replay_from: Optional[ForwardTrace] = None,
 ) -> ForwardTrace:
-    """Full forward pass over one sequence, or over a training batch.
+    """Full forward pass over one sequence, or over a batch.
 
     In training mode the true label drives the branch comparisons and
     dropout masks are drawn from rng; in evaluation mode the configured
     inference policy stands in for the label and dropout is the identity.
 
-    A live training pass also takes a batch x (B, T, D) with labels (B,).
-    Its layers and per-step heads run once over the batch, each row's
-    historical recursion runs on its own, and every mask of row b is drawn
-    before row b+1's, so trace.row(b) is bit for bit row b's own pass. A
-    live pass over one sequence is the batch of one.
+    A live pass also takes a batch x (B, T, D), with labels (B,) in
+    training; its layers and per-step heads run once, and trace.row(b) is
+    bit for bit row b's own pass (one sequence is the batch of one). In
+    training each row's recursion runs alone, row b's masks drawn before row
+    b+1's; in evaluation one masked recursion runs every row.
 
     Passing replay_from pins the stochastic and branching choices (dropout
     masks, branch decisions, alpha, window weights) to the given trace, so
@@ -508,13 +496,15 @@ def forward_sequence(
     """
     X = np.asarray(x, dtype=np.float64)
     live = replay_from is None
-    batch = training and live and np.ndim(label) == 1
-    if batch:
-        if X.ndim != 3 or min(X.shape[:2]) < 1 or np.shape(label) != X.shape[:1]:
-            raise ShapeError(f"a training batch must be a (B, T, D) array with B, T >= 1 and "
-                             f"labels (B,), got {X.shape} and labels {np.shape(label)}")
-    elif X.ndim != 2 or X.shape[0] < 1:
-        raise ShapeError(f"a sequence must be a (T, D) array with T >= 1, got {X.shape}")
+    batch = live and (np.ndim(label) == 1 if training else X.ndim == 3)
+    if batch and training and (X.ndim != 3 or min(X.shape[:2]) < 1
+                               or np.shape(label) != X.shape[:1]):
+        raise ShapeError(f"a training batch must be a (B, T, D) array with B, T >= 1 and "
+                         f"labels (B,), got {X.shape} and labels {np.shape(label)}")
+    if X.ndim != 2 + batch or min(X.shape[:-1]) < 1:
+        raise ShapeError(("an evaluation batch must be a (B, T, D) array with B, T >= 1" if batch
+                          else "a sequence must be a (T, D) array with T >= 1")
+                         + f", got {X.shape}")
     if net.stack_shape and live:
         raise ValueError("a stacked network runs only replayed passes")
     if X.shape[-1] != net.input_dim:
@@ -533,7 +523,6 @@ def forward_sequence(
     if live and not batch:  # one sequence is the batch of one
         X = X[None]
     T = X.shape[-2]
-    targets = np.asarray(label).tolist() if batch else [label if training else None]  # per row
     if not live:
         masks = list(replay_from.masks)
     elif fresh_masks:
@@ -549,49 +538,34 @@ def forward_sequence(
 
     cur = X
     for k in range(L):
-        lt = _layer_forward(net.gates[k], cur, keep=not net.stack_shape)
+        lt = _layer_forward(net.gates[k], cur, keep=training and not net.stack_shape)
         layer_traces.append(lt)
-        if net.scorers[k] is not None:
+        if net.scorers[k] is not None and (training or k in net.scored):
             probs[k] = head_predict(net.scorers[k][0], lt.h)
-        if k in net.scored and live:
-            hists[k] = [_run_historical(net, k, h, p, y, None)
-                        for h, p, y in zip(lt.h, probs[k], targets)]
-        elif k in net.scored:
+        if k in net.scored and not live:
             hists[k] = _run_historical(net, k, lt.h, probs[k], None, replay_from.hists[k].records)
+        elif k in net.scored and training:
+            hists[k] = [_run_historical(net, k, h, p, y, None)
+                        for h, p, y in zip(lt.h, probs[k], np.atleast_1d(label).tolist())]
+        elif k in net.scored:
+            hists[k] = _eval_historical(net, k, lt.h, probs[k])
         if k < L - 1:
             upward = lt.h
             if hists[k] is not None:
-                upward = (np.array([hist.l_history for hist in hists[k]]) if live
+                upward = (hists[k].L if live and not training  # the Schedule's states
+                          else np.array([hist.l_history for hist in hists[k]]) if live
                           else np.stack(hists[k].l_history, axis=-2))
             cur = upward if masks[k] is None else upward * masks[k] / (1.0 - net.dropout_p)
 
     if not net.use_historical:
         final_src = layer_traces[-1].h[..., T - 1, :]
     else:
-        final_src = np.array([hist.l for hist in hists[-1]]) if live else hists[-1].l
+        final_src = np.array([hist.l for hist in hists[-1]]) if live and training else hists[-1].l
     # one (1, U) @ (U, C) product per row: a (B, U) @ (U, C) product sums in another order
     final_probs = head_predict(net.final_head, final_src[..., None, :])[..., 0, :]
     trace = ForwardTrace(layers=layer_traces, masks=masks, hists=hists, probs=probs,
                          final_src=final_src, final_probs=final_probs)
     return trace if batch or not live else trace.row(0)
-
-
-def eval_final_probs(net: StackedNetwork, X) -> np.ndarray:
-    """final_probs (B, C) of the evaluation-mode forward_sequence over each
-    row of X (B, T, D), bit for bit: the layers run as one batch and the
-    historical recursion as _eval_historical. Whatever would stop one row's
-    forward_sequence raises a ValueError here too, though not that call's."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 3 or min(X.shape[:2]) < 1 or X.shape[2] != net.input_dim or net.stack_shape:
-        raise ShapeError(f"a batch runs one parameter set over (B, T, {net.input_dim}) "
-                         f"features with B, T >= 1, got {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("batch contains non-finite features")
-    for k, gates in enumerate(net.gates):  # X becomes each layer's output
-        X = _layer_forward(gates, X).h
-        if k in net.scored:  # only the recursion reads the per-step scores
-            X = _eval_historical(net, k, X, head_predict(net.scorers[k][0], X))
-    return head_predict(net.final_head, X[:, -1:])[:, 0]
 
 
 def _ce_logit_grad(probs: np.ndarray, label: int) -> np.ndarray:
@@ -856,6 +830,7 @@ def load_checkpoint(path: str) -> StackedNetwork:
 
 
 def predict(net: StackedNetwork, x) -> int:
-    """Evaluation-mode class prediction for one sequence."""
-    trace = forward_sequence(net, x, training=False)
-    return int(np.argmax(trace.final_probs))
+    """Evaluation-mode class prediction for one sequence (T, D)."""
+    if np.ndim(x) != 2:
+        raise ShapeError(f"predict takes one (T, D) sequence, got shape {np.shape(x)}")
+    return int(np.argmax(forward_sequence(net, x, training=False).final_probs))

@@ -20,7 +20,6 @@ from .network import (
     backward_sequence,
     build_network,
     check_options,
-    eval_final_probs,
     forward_sequence,
     total_loss,
 )
@@ -187,9 +186,9 @@ TRAIN_ROWS = 16  # at most; a piece keeps every row's gates and cells for its ba
 def evaluate(net: StackedNetwork, dataset: Dataset) -> Metrics:
     """Evaluation-mode prediction per sequence, the argmax with ties broken
     toward the lowest class index. Sequences of one length run as row
-    batches (eval_final_probs), bit for bit the per-sequence forward; if a
-    batch raises ValueError, the per-sequence loop reruns in dataset order
-    and raises the first error, named by its sequence."""
+    batches through forward_sequence, each row bit for bit its own forward;
+    if a batch raises ValueError, the sequences rerun one by one in dataset
+    order to raise the first error, named by its sequence."""
     if dataset.n_classes > net.n_classes:
         raise ValueError(f"dataset declares {dataset.n_classes} classes, model has {net.n_classes}")
     C = net.n_classes
@@ -201,14 +200,14 @@ def evaluate(net: StackedNetwork, dataset: Dataset) -> Metrics:
         for T, group in by_length.items():
             rows = max(1, min(EVAL_ROWS, EVAL_STEP_BUDGET // T))
             for idx in (group[lo:lo + rows] for lo in range(0, len(group), rows)):
-                probs = eval_final_probs(net, np.stack([dataset.sequences[i].frames for i in idx]))
+                X = np.stack([dataset.sequences[i].frames for i in idx])
+                probs = forward_sequence(net, X, training=False).final_probs  # no trace kept
                 np.add.at(confusion, (labels[idx], np.argmax(probs, axis=1)), 1)
     except ValueError:
-        confusion[...] = 0
         for index, seq in enumerate(dataset):
             with _naming(seq, index):
-                trace = forward_sequence(net, seq.frames, training=False)
-            confusion[seq.label, int(np.argmax(trace.final_probs))] += 1
+                forward_sequence(net, seq.frames, training=False)
+        raise  # no sequence failed alone, which rows with their own bits rule out
     total = int(confusion.sum())
     accuracy = float(np.trace(confusion) / total) if total else 0.0
     return Metrics(accuracy=accuracy, confusion=confusion)

@@ -19,7 +19,7 @@ from histlstm.cells import (
 )
 from dataclasses import replace
 
-from histlstm import historical, network
+from histlstm import network
 from histlstm.historical import (
     ALPHA_POLICIES,
     INFERENCE_POLICIES,
@@ -38,7 +38,6 @@ from histlstm.network import (
     _layer_forward,
     backward_sequence,
     build_network,
-    eval_final_probs,
     forward_sequence,
     is_weight_matrix,
     load_checkpoint,
@@ -195,19 +194,20 @@ class TestForwardSequence:
 
     @pytest.mark.parametrize("placement", HIST_PLACEMENTS)
     def test_eval_head_evaluations_per_scored_layer(self, placement, monkeypatch):
-        # one score per new state, plus one rescoring of l_{t-1} per
-        # pseudo-label change; the per-step probabilities are not recomputed
+        # per scored layer one call for the per-step scores and one for the
+        # truncation states, one score per new state, plus one rescoring of
+        # l_{t-1} per pseudo-label change; then the final head's one call
         calls = []
-        monkeypatch.setattr(historical, "head_predict",
+        monkeypatch.setattr(network, "head_predict",
                             lambda head, s: calls.append(1) or head_predict(head, s))
         net = tiny_net(seed=22, placement=placement)
         X = np.random.default_rng(23).standard_normal((15, 2)) * 2
         trace = forward_sequence(net, X)
-        budget = 0
+        budget = 1
         for k, hist in enumerate(trace.hists):
             if hist is not None:
                 ys = np.argmax(trace.probs[k], axis=1)
-                budget += 15 + int(np.count_nonzero(ys[1:] != ys[:-1]))
+                budget += 2 + 15 + int(np.count_nonzero(ys[1:] != ys[:-1]))
         assert 0 < len(calls) <= budget
 
     def test_forward_determinism_bitwise(self):
@@ -299,10 +299,11 @@ class TestForwardSequence:
         net = tiny_net(seed=17)
         with pytest.raises(ShapeError):
             forward_sequence(net, np.zeros((3, 5)))
-        for X in (np.zeros(2), np.zeros((0, 2)), np.zeros((1, 3, 2))):
+        for X in (np.zeros(2), np.zeros((0, 2))):
             with pytest.raises(ShapeError, match=r"^a sequence must be a \(T, D\) array with "
                                                  rf"T >= 1, got {re.escape(str(X.shape))}$"):
                 forward_sequence(net, X)
+        assert forward_sequence(net, np.zeros((1, 3, 2))).final_probs.shape == (1, 3)
         with pytest.raises(ValueError):
             forward_sequence(net, np.zeros((3, 2)), training=True)  # no label
         with pytest.raises(ValueError):
@@ -344,18 +345,23 @@ def assert_same_trace(a, b):
         assert (pa is None and pb is None) or np.array_equal(pa, pb)
     for ha, hb in zip(a.hists, b.hists, strict=True):
         assert (ha is None) == (hb is None)
-        if ha is None:
-            continue
-        assert ha.eps_l == hb.eps_l and np.array_equal(ha.l, hb.l)
-        for ra, rb in zip(ha.records, hb.records, strict=True):
-            assert (ra.branch, ra.eps_h, ra.eps_l_prev, ra.eps_l_new, ra.alpha) == \
-                (rb.branch, rb.eps_h, rb.eps_l_prev, rb.eps_l_new, rb.alpha)
-            assert (ra.weights is None) == (rb.weights is None)
-            assert ra.weights is None or np.array_equal(ra.weights, rb.weights)
-        for la, lb in zip(ha.l_history, hb.l_history, strict=True):
-            assert np.array_equal(la, lb)
+        if ha is not None:
+            assert_same_hist(ha, hb)
     assert np.array_equal(a.final_src, b.final_src)
     assert np.array_equal(a.final_probs, b.final_probs)
+
+
+def assert_same_hist(ha, hb):
+    """Two recursions of one sequence, bit for bit: every step record, every
+    state and the last loss."""
+    assert ha.eps_l == hb.eps_l and np.array_equal(ha.l, hb.l)
+    for ra, rb in zip(ha.records, hb.records, strict=True):
+        assert (ra.branch, ra.eps_h, ra.eps_l_prev, ra.eps_l_new, ra.alpha) == \
+            (rb.branch, rb.eps_h, rb.eps_l_prev, rb.eps_l_new, rb.alpha)
+        assert (ra.weights is None) == (rb.weights is None)
+        assert ra.weights is None or np.array_equal(ra.weights, rb.weights)
+    for la, lb in zip(ha.l_history, hb.l_history, strict=True):
+        assert np.array_equal(la, lb)
 
 
 class TestTrainingBatch:
@@ -438,6 +444,77 @@ class TestTrainingBatch:
                              training=True)
 
 
+def drive_eval(net, k, H, probs):
+    """Layer k's evaluation-mode recursion over one row's responses H (T, U)
+    and per-step scores probs (T, C), through initial_trace and
+    historical_update: both losses of step t score against step t's
+    pseudo-label, so l_{t-1} is rescored at every step."""
+    l_head, policy = net.scorers[k][1], net.hist_cfg.inference_policy
+    ys = [int(np.argmax(p)) for p in probs]
+
+    def loss_fn(t):
+        if policy == "fixed_blend":
+            return lambda s: 1.0
+        return lambda s: step_loss(l_head, s, ys[t])
+
+    hist = initial_trace(H[0], loss_fn(0))
+    for t in range(1, len(H)):
+        eps_h = 1.0 if policy == "fixed_blend" else cross_entropy(probs[t], ys[t])
+        hist = historical_update(replace(hist, eps_l=loss_fn(t)(hist.l)), H[t], eps_h,
+                                 net.hist_cfg, loss_fn(t))
+    return hist
+
+
+class TestEvalSchedule:
+    """An evaluation batch's Schedule: each row, read as records and states,
+    is bit for bit historical_update's recursion and the row's own pass."""
+
+    def net(self, seed, placement, peephole, **hist):
+        # random heads without biases make the recursion blend, truncate and
+        # change its pseudo-labels
+        rng = np.random.default_rng(seed)
+        net = build_network(rng, 3, (4, 3), 3, hist_cfg=HistoricalConfig(tau=2, **hist),
+                            hist_placement=placement, peephole=peephole)
+        net.theta[...] = rng.standard_normal(net.theta.size)
+        for scorer in filter(None, net.scorers):
+            scorer[0].c[...] = 0.0
+            scorer[0].V[...] *= 3.0
+        return net
+
+    @pytest.mark.parametrize("peephole", PEEPHOLE_MODES)
+    @pytest.mark.parametrize("placement", HIST_PLACEMENTS)
+    @pytest.mark.parametrize("inference", INFERENCE_POLICIES)
+    @pytest.mark.parametrize("window", WINDOW_MODES)
+    @pytest.mark.parametrize("alpha", ALPHA_POLICIES)
+    def test_rows_are_the_reference_recursion(self, alpha, window, inference, placement,
+                                              peephole):
+        # seeds under which every case blends, and truncates under pseudo_label
+        seed = 48 + len(alpha) + 10 * len(window) + 100 * len(placement + peephole)
+        net = self.net(seed, placement, peephole, alpha_policy=alpha, window_mode=window,
+                       inference_policy=inference)
+        data = np.random.default_rng([seed, 1])
+        branches = set()
+        for B, T in ((3, 1), (1, 2), (4, 7), (3, 17)):
+            X = 2.0 * data.standard_normal((B, T, 3))
+            with np.errstate(divide="ignore"):  # the literal alpha drives some p to 0
+                trace = forward_sequence(net, X)
+                rows = [forward_sequence(net, x) for x in X]
+                refs = [{k: drive_eval(net, k, trace.layers[k].h[b], trace.probs[k][b])
+                         for k in net.scored} for b in range(B)]
+            for k in net.scored:
+                sched = trace.hists[k]
+                assert sched.branch.dtype == np.int8 and sched.L.shape == (B, T, net.layer_units[k])
+                for name in ("branch", "alpha", "n", "eps_h", "eps_l_prev", "eps_l_new"):
+                    assert getattr(sched, name).shape == (B, T), name
+            for b, (single, ref) in enumerate(zip(rows, refs)):
+                mine = trace.row(b)
+                assert_same_trace(mine, single)
+                for k in net.scored:
+                    assert_same_hist(mine.hists[k], ref[k])
+                    branches |= {r.branch for r in ref[k].records}
+        assert "blend" in branches and ("trunc" in branches) == (inference == "pseudo_label")
+
+
 class TestScoringTable:
     @pytest.mark.parametrize("use_historical", [True, False])
     @pytest.mark.parametrize("placement", HIST_PLACEMENTS)
@@ -491,7 +568,7 @@ class TestScoringTable:
             return head_predict(head, S)
 
         monkeypatch.setattr(network, "head_predict", spy)
-        eval_final_probs(net, np.random.default_rng(27).standard_normal((4, 5, 2)))
+        forward_sequence(net, np.random.default_rng(27).standard_normal((4, 5, 2)))
         want = {id(net.final_head)} | {id(net.scorers[k][0]) for k in net.scored}
         assert set(called) == want
 
@@ -1020,6 +1097,13 @@ class TestNetworkShape:
         net = tiny_net(seed=44)
         X = np.random.default_rng(45).standard_normal((5, 2))
         assert predict(net, X) == int(np.argmax(forward_sequence(net, X).final_probs))
+
+    def test_predict_refuses_a_batch(self):
+        # a batch's final_probs are (B, C), whose flat argmax names no class
+        net = tiny_net(seed=44)
+        with pytest.raises(ShapeError, match=r"^predict takes one \(T, D\) sequence, "
+                                             r"got shape \(2, 5, 2\)$"):
+            predict(net, np.zeros((2, 5, 2)))
 
 
 class TestStackedNetwork:

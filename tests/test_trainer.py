@@ -12,8 +12,7 @@ from histlstm import trainer
 from histlstm.dataio import Dataset, FeatureSequence, SynthConfig, synth_keyframe_dataset
 from histlstm.historical import (ALPHA_POLICIES, INFERENCE_POLICIES, WINDOW_MODES,
                                  HistoricalConfig)
-from histlstm.network import (backward_sequence, build_network, eval_final_probs,
-                              forward_sequence, total_loss)
+from histlstm.network import backward_sequence, build_network, forward_sequence, total_loss
 from histlstm.numerics import ShapeError, finite_diff
 from histlstm.trainer import (
     AdamState,
@@ -263,22 +262,20 @@ class TestBatchedEvaluate:
         for seq in ds:
             by_length.setdefault(seq.T, []).append(seq)
         for T, group in by_length.items():
-            probs = eval_final_probs(net, np.stack([seq.frames for seq in group]))
+            probs = forward_sequence(net, np.stack([seq.frames for seq in group])).final_probs
             for p, seq in zip(probs, group):
                 assert np.array_equal(p, forward_sequence(net, seq.frames).final_probs), T
         chunks = []
 
-        def spy(net, X):
+        def spy(net, X, training=False):
+            if X.ndim != 3:
+                raise AssertionError("evaluate fell back to the per-sequence loop")
             chunks.append(X.shape[:2])
-            return eval_final_probs(net, X)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("evaluate fell back to the per-sequence loop")
+            return forward_sequence(net, X, training=training)
 
         with monkeypatch.context() as m:
             m.setattr(trainer, "EVAL_STEP_BUDGET", self.BUDGET)
-            m.setattr(trainer, "eval_final_probs", spy)
-            m.setattr(trainer, "forward_sequence", refuse)
+            m.setattr(trainer, "forward_sequence", spy)
             metrics = evaluate(net, ds)
         assert np.array_equal(metrics.confusion, per_sequence_confusion(net, ds))
         assert sorted(chunks) == sorted([(7, 1), (6, 2), (1, 2), (2, 5), (2, 5), (2, 5), (1, 5)]
@@ -327,23 +324,21 @@ class TestBatchedEvaluate:
         net = self.net(seed=6, alpha_policy="inverse_loss", inference_policy=inference)
         batches = []
 
-        def spy(net, X):
-            batches.append((X, eval_final_probs(net, X)))
+        def spy(net, X, training=False):
+            if X.ndim != 3:
+                raise AssertionError("evaluate fell back to the per-sequence loop")
+            batches.append((X, forward_sequence(net, X, training=training)))
             return batches[-1][1]
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("evaluate fell back to the per-sequence loop")
-
         with monkeypatch.context() as m:
-            m.setattr(trainer, "eval_final_probs", spy)
-            m.setattr(trainer, "forward_sequence", refuse)
+            m.setattr(trainer, "forward_sequence", spy)
             metrics = evaluate(net, ds)
         assert sorted(X.shape[:2] for X, _ in batches) == [(1, 4000), (6, 30), (8, 480), (8, 480),
                                                            (32, 30), (32, 30)]
         assert np.array_equal(metrics.confusion, per_sequence_confusion(net, ds))
         branches = set()
-        for X, probs in (batch for batch in batches if batch[0].shape[1] == 480):
-            for x, p in zip(X, probs):
+        for X, out in (batch for batch in batches if batch[0].shape[1] == 480):
+            for x, p in zip(X, out.final_probs):
                 trace = forward_sequence(net, x)
                 assert np.array_equal(p, trace.final_probs)
                 branches |= {r.branch for k in net.scored for r in trace.hists[k].records}
@@ -367,6 +362,23 @@ class TestBatchedEvaluate:
         frames = [np.full((400, 1), v) for v in (1.0, -1.0, 1.0, 1.0)]
         return net, Dataset([FeatureSequence(frames=f, label=0, id=f"row{i}")
                              for i, f in enumerate(frames)], n_classes=20)
+
+    def test_overflow_names_its_branch_and_alpha(self):
+        # the batch's and row 1's own pass raise the text historical_update
+        # gives a sequence driven step by step
+        net, ds = self.overflow_dataset()
+        message = ("historical state is not finite at step t=336 "
+                   "(blend branch, alpha=-7.453758323092085)")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as caught:
+                evaluate(net, ds)
+            assert str(caught.value) == "row1: " + message
+            with pytest.raises(ValueError) as caught:
+                forward_sequence(net, ds.sequences[1].frames)
+            assert str(caught.value) == message
+            with pytest.raises(ValueError) as caught:
+                forward_sequence(net, np.stack([seq.frames for seq in ds]))
+            assert str(caught.value) == message
 
     def test_first_error_in_dataset_order_is_raised(self):
         net, ds = self.overflow_dataset()
@@ -451,9 +463,10 @@ class TestTrainingBatches:
 
         def spy(net, x, label=None, training=False, rng=None, replay_from=None):
             trace = real(net, x, label, training, rng, replay_from)
-            shapes.append(np.shape(x))
-            branches.update(r.branch for k in net.scored for hist in trace.hists[k]
-                            for r in hist.records)
+            if training:  # train() ends with an evaluation
+                shapes.append(np.shape(x))
+                branches.update(r.branch for k in net.scored for hist in trace.hists[k]
+                                for r in hist.records)
             return trace
 
         def run(budget, fn, *args):
