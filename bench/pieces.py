@@ -73,7 +73,7 @@ def measure(T: int, units: list, rows_list: list, batch: int, seed: int,
                 call()
                 times.append(time.perf_counter() - start)
             out.append({"rows": rows,
-                        "pieces": [len(p) for p in trainer._equal_length_runs(data, idx)],
+                        "pieces": [len(p) for p in trainer._pieces(data, idx, rows, rows * T)],
                         "peak_mib": peak / 2**20, "best_s": min(times),
                         "result": (grad.tobytes(), loss, acc)})
     finally:

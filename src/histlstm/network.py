@@ -368,42 +368,44 @@ def _layer_forward(p: GateBlocks, X: np.ndarray, keep: bool = False) -> LayerTra
     return LayerTrace(X, H, *((C, TC, G) if keep else (None,) * 3))
 
 
-def _run_historical(
-    net: StackedNetwork,
-    k: int,
-    H: np.ndarray,
-    step_probs: np.ndarray,
-    label: Optional[int],
-    replay_records: Optional[list],
-) -> HistoricalTrace:
-    """Drive the training-mode recursion over one layer's responses.
+def _scored_truncations(l_head: HeadParams, H: np.ndarray, tau: int, targets) -> tuple:
+    """Each row's sliding truncation states of H (B, T, U) and their losses
+    against targets (B, T): one (1, U) head call per state, step_loss's bits
+    (a (T, U) @ (U, C) product sums in another order)."""
+    S = truncation_states(H, tau)
+    return S, cross_entropy(head_predict(l_head, S[:, :, None, :])[:, :, 0], targets)
 
-    With replay_records the recorded branch schedule is applied verbatim and
-    neither losses nor policies are consulted; a stacked network's H is
-    (K, T, U) and every state is (K, U). A live pass scores states against
-    the label, a sliding one forming and scoring every truncation state
-    first; a literal batch would cost O(T^2), so each literal truncation,
-    like each replayed one, sums its own window."""
-    l_head = net.scorers[k][1]
-    cfg = net.hist_cfg
-    if replay_records is not None:
-        steps = np.moveaxis(H, -2, 0)
-        hist = initial_trace(steps[0], lambda s: replay_records[0].eps_l_new)
-        for t in range(1, len(steps)):
-            hist = replay_update(hist, steps[t], replay_records[t])
-        return hist
-    eps_h = cross_entropy(step_probs, label).tolist()
-    scorer = partial(step_loss, l_head, label=label)
-    truncs = [None] * len(H)  # each step's (state, loss), formed up front when sliding
+
+def _train_historical(net: StackedNetwork, k: int, H: np.ndarray, step_probs: np.ndarray,
+                      labels: np.ndarray) -> list:
+    """Layer k's training recursion over H (B, T, U), a HistoricalTrace per
+    row: eps_h and, when sliding, every truncation state and its loss scored
+    for all rows first, then each row stepped through historical_update. A
+    literal batch would cost O(T^2), so each literal truncation sums its window."""
+    l_head, cfg = net.scorers[k][1], net.hist_cfg
+    targets = np.repeat(labels[:, None], H.shape[1], axis=1)
+    eps_h = cross_entropy(step_probs, targets).tolist()
+    truncs = [[None] * H.shape[1]] * len(H)  # per row, each step's (state, loss)
     if cfg.window_mode == "sliding":
-        S = truncation_states(H, cfg.tau)
-        # (T, 1, U): one matrix-vector product per row, the bits of
-        # step_loss; a (T, U) @ (U, C) product sums in another order.
-        S_loss = cross_entropy(head_predict(l_head, S[:, None, :])[:, 0], label).tolist()
-        truncs = list(zip(S, S_loss))
-    hist = initial_trace(H[0], scorer)
-    for t in range(1, len(H)):
-        hist = historical_update(hist, H[t], eps_h[t], cfg, scorer, truncs[t])
+        S, S_loss = _scored_truncations(l_head, H, cfg.tau, targets)
+        truncs = [list(zip(s, loss)) for s, loss in zip(S, S_loss.tolist())]
+    hists = []
+    for h, e, trunc, label in zip(H, eps_h, truncs, labels.tolist()):
+        scorer = partial(step_loss, l_head, label=label)
+        hist = initial_trace(h[0], scorer)
+        for t in range(1, len(h)):
+            hist = historical_update(hist, h[t], e[t], cfg, scorer, trunc[t])
+        hists.append(hist)
+    return hists
+
+
+def _replay_historical(H: np.ndarray, records: list) -> HistoricalTrace:
+    """The recorded branch schedule applied verbatim to H (T, U), or a stack
+    (K, T, U) whose every state is (K, U); no loss or policy is consulted."""
+    steps = np.moveaxis(H, -2, 0)
+    hist = initial_trace(steps[0], lambda s: records[0].eps_l_new)
+    for t in range(1, len(steps)):
+        hist = replay_update(hist, steps[t], records[t])
     return hist
 
 
@@ -430,8 +432,7 @@ def _eval_historical(net: StackedNetwork, k: int, H: np.ndarray, step_probs: np.
 
     S = None
     if cfg.window_mode == "sliding" and ys is not None:  # fixed_blend never truncates
-        S = truncation_states(H, cfg.tau)
-        S_loss = cross_entropy(head_predict(l_head, S[:, :, None, :])[:, :, 0], ys)
+        S, S_loss = _scored_truncations(l_head, H, cfg.tau, ys)
     L = H.copy()  # l_1 = h_1, the window of one
     eps_l = np.ones(B) if ys is None else loss(H[:, 0], 0)
     branch[:, 0], n_bt[:, 0] = 0, 1  # init
@@ -543,10 +544,9 @@ def forward_sequence(
         if net.scorers[k] is not None and (training or k in net.scored):
             probs[k] = head_predict(net.scorers[k][0], lt.h)
         if k in net.scored and not live:
-            hists[k] = _run_historical(net, k, lt.h, probs[k], None, replay_from.hists[k].records)
+            hists[k] = _replay_historical(lt.h, replay_from.hists[k].records)
         elif k in net.scored and training:
-            hists[k] = [_run_historical(net, k, h, p, y, None)
-                        for h, p, y in zip(lt.h, probs[k], np.atleast_1d(label).tolist())]
+            hists[k] = _train_historical(net, k, lt.h, probs[k], np.atleast_1d(label))
         elif k in net.scored:
             hists[k] = _eval_historical(net, k, lt.h, probs[k])
         if k < L - 1:
@@ -604,6 +604,8 @@ def total_loss(
     loss = cross_entropy(trace.final_probs, label)
     if lambda_aux != 0.0:
         streams = _aux_streams(trace)
+        if not streams:
+            raise ValueError("lambda_aux != 0 needs a training-mode trace, with per-step scores")
         aux = 0.0
         for _, probs in streams:
             per_step = np.moveaxis(cross_entropy(probs, label), -1, 0)
@@ -733,8 +735,10 @@ def backward_sequence(
     Differentiates the pinned forward pass (the trace's masks and branch
     schedule are constants), which is exactly the function a replayed
     forward evaluates. The result is one vector in layout order; grads holds
-    its named views.
+    its named views. An evaluation trace, which kept no gates, is refused.
     """
+    if trace.layers[0].gates is None:
+        raise ValueError("backward_sequence needs a training-mode trace: this one kept no gates")
     grad = np.zeros(net.theta.shape)
     grads = net.views(grad)
     gate_grads = net.gate_blocks(grad)

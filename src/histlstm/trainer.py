@@ -183,42 +183,51 @@ TRAIN_STEP_BUDGET = 960  # training pieces: max(1, min(TRAIN_ROWS, TRAIN_STEP_BU
 TRAIN_ROWS = 16  # at most; a piece keeps every row's gates and cells for its backward
 
 
+def _pieces(dataset: Dataset, order: Sequence[int], rows: int, step_budget: int) -> Iterable[list]:
+    """order cut into runs of consecutive indices of one length T, and each
+    run into pieces of at most max(1, min(rows, step_budget // T)) rows."""
+    for T, run in itertools.groupby(order, key=lambda i: dataset.sequences[i].T):
+        run, n = list(run), max(1, min(rows, step_budget // T))
+        yield from (run[lo:lo + n] for lo in range(0, len(run), n))
+
+
+def _piece_forward(net: StackedNetwork, dataset: Dataset, piece: list,
+                   rng: Optional[np.random.Generator] = None):
+    """One forward_sequence pass over the piece's rows, each bit for bit its
+    own pass: training when rng is given, else evaluation. If it raises
+    ValueError, the generator is restored and the rows rerun alone, so the
+    first that fails raises its error named by its sequence; else the pass's."""
+    def run(x, label):
+        return (forward_sequence(net, x, training=False) if rng is None
+                else forward_sequence(net, x, label=label, training=True, rng=rng))
+
+    seqs = [dataset.sequences[i] for i in piece]
+    state = None if rng is None else rng.bit_generator.state
+    try:
+        return run(np.stack([seq.frames for seq in seqs]), np.array([seq.label for seq in seqs]))
+    except ValueError:
+        if rng is not None:
+            rng.bit_generator.state = state
+        for index, seq in zip(piece, seqs):
+            with _naming(seq, index):
+                run(seq.frames, seq.label)
+        raise  # no row failed alone, which rows with their own bits rule out
+
+
 def evaluate(net: StackedNetwork, dataset: Dataset) -> Metrics:
     """Evaluation-mode prediction per sequence, the argmax with ties broken
-    toward the lowest class index. Sequences of one length run as row
-    batches through forward_sequence, each row bit for bit its own forward;
-    if a batch raises ValueError, the sequences rerun one by one in dataset
-    order to raise the first error, named by its sequence."""
+    toward the lowest class index. The sequences, stably sorted by length,
+    run as _pieces of max(1, min(EVAL_ROWS, EVAL_STEP_BUDGET // T)) rows."""
     if dataset.n_classes > net.n_classes:
         raise ValueError(f"dataset declares {dataset.n_classes} classes, model has {net.n_classes}")
-    C = net.n_classes
-    confusion = np.zeros((C, C), dtype=np.int64)
-    by_length, labels = {}, dataset.labels()
-    for index, seq in enumerate(dataset):
-        by_length.setdefault(len(seq.frames), []).append(index)
-    try:
-        for T, group in by_length.items():
-            rows = max(1, min(EVAL_ROWS, EVAL_STEP_BUDGET // T))
-            for idx in (group[lo:lo + rows] for lo in range(0, len(group), rows)):
-                X = np.stack([dataset.sequences[i].frames for i in idx])
-                probs = forward_sequence(net, X, training=False).final_probs  # no trace kept
-                np.add.at(confusion, (labels[idx], np.argmax(probs, axis=1)), 1)
-    except ValueError:
-        for index, seq in enumerate(dataset):
-            with _naming(seq, index):
-                forward_sequence(net, seq.frames, training=False)
-        raise  # no sequence failed alone, which rows with their own bits rule out
+    confusion, labels = np.zeros((net.n_classes,) * 2, dtype=np.int64), dataset.labels()
+    order = sorted(range(len(dataset)), key=lambda i: dataset.sequences[i].T)
+    for piece in _pieces(dataset, order, EVAL_ROWS, EVAL_STEP_BUDGET):
+        probs = _piece_forward(net, dataset, piece).final_probs  # no trace kept
+        np.add.at(confusion, (labels[piece], np.argmax(probs, axis=1)), 1)
     total = int(confusion.sum())
     accuracy = float(np.trace(confusion) / total) if total else 0.0
     return Metrics(accuracy=accuracy, confusion=confusion)
-
-
-def _equal_length_runs(dataset: Dataset, batch_idx: Sequence[int]) -> Iterable[list]:
-    """batch_idx in order, cut into runs of consecutive rows of one length T
-    and each run into pieces of at most max(1, min(TRAIN_ROWS, TRAIN_STEP_BUDGET // T)) rows."""
-    for T, run in itertools.groupby(batch_idx, key=lambda i: dataset.sequences[i].T):
-        run, rows = list(run), max(1, min(TRAIN_ROWS, TRAIN_STEP_BUDGET // T))
-        yield from (run[lo:lo + rows] for lo in range(0, len(run), rows))
 
 
 def _batch_gradients(
@@ -229,37 +238,19 @@ def _batch_gradients(
     rng: np.random.Generator,
 ) -> tuple:
     """Mean gradient over the batch (fixed summation order), mean loss, and
-    the fraction of training-mode argmax hits.
-
-    Each piece from _equal_length_runs runs as one training forward, every
-    row bit for bit its own sequence's pass; total_loss and backward_sequence
-    then take the rows one by one. If that forward raises ValueError, the
-    generator goes back to its state before it and the piece's rows run one
-    sequence at a time, so an error names the same sequence and step."""
-    grad_sum = np.zeros_like(net.theta)
-    loss_sum = 0.0
-    hits = 0
-    for piece in _equal_length_runs(dataset, batch_idx):
-        seqs = [dataset.sequences[idx] for idx in piece]
-        state = rng.bit_generator.state
-        try:
-            batch = forward_sequence(net, np.stack([seq.frames for seq in seqs]),
-                                     label=np.array([seq.label for seq in seqs]),
-                                     training=True, rng=rng)
-        except ValueError:
-            rng.bit_generator.state = state
-            traces = [None] * len(seqs)
-        else:
-            traces = [batch.row(b) for b in range(len(seqs))]
-        for idx, seq, trace in zip(piece, seqs, traces):
+    the fraction of training-mode argmax hits. The batch runs in order as
+    _pieces of max(1, min(TRAIN_ROWS, TRAIN_STEP_BUDGET // T)) rows; total_loss
+    and backward_sequence take each piece's rows one by one."""
+    grad_sum, loss_sum, hits = np.zeros_like(net.theta), 0.0, 0
+    for piece in _pieces(dataset, batch_idx, TRAIN_ROWS, TRAIN_STEP_BUDGET):
+        batch = _piece_forward(net, dataset, piece, rng)
+        for b, idx in enumerate(piece):
+            seq, trace = dataset.sequences[idx], batch.row(b)
             with _naming(seq, idx):
-                if trace is None:
-                    trace = forward_sequence(net, seq.frames, label=seq.label, training=True,
-                                             rng=rng)
                 loss_sum += total_loss(net, trace, seq.label, cfg.lambda_aux, cfg.l2)
                 grad_sum += backward_sequence(net, trace, seq.label, cfg.lambda_aux, cfg.l2)
             hits += int(np.argmax(trace.final_probs)) == seq.label
-        batch = traces = trace = None  # the piece's arrays go before the next piece's forward
+        batch = trace = None  # the piece's arrays go before the next piece's forward
     n = len(batch_idx)
     grad_sum /= n
     return grad_sum, loss_sum / n, hits / n

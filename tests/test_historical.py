@@ -20,7 +20,7 @@ from histlstm.historical import (
     truncation_weights,
     window_mean,
 )
-from histlstm.network import _historical_backward, _run_historical, build_network
+from histlstm.network import _historical_backward, _train_historical, build_network
 from histlstm.numerics import EPS_LOSS_FLOOR, ShapeError, cross_entropy
 
 
@@ -529,19 +529,30 @@ class TestBatchedScoring:
         assert rows >= 20000
 
 
-def forward_against_drive(H, cfg, psh, fh, label):
-    """The live forward's recursion (_run_historical of a one-layer network
-    whose per-step and final heads are psh and fh) and drive's, over the
-    responses H (T, U); drive's loss_h reads the forward's eps_h."""
-    net = build_network(np.random.default_rng(0), 1, (H.shape[1],), psh.n_classes,
+def one_layer_net(cfg, psh, fh):
+    """A one-layer network whose per-step and final heads are psh and fh."""
+    net = build_network(np.random.default_rng(0), 1, (psh.V.shape[1],), psh.n_classes,
                         hist_cfg=cfg)
     for mine, theirs in ((net.per_step_head, psh), (net.final_head, fh)):
         mine.V[...], mine.c[...] = theirs.V, theirs.c
-    probs = head_predict(psh, H)
-    forward = _run_historical(net, 0, H, probs, label, None)
+    return net
+
+
+def drive_row(H, probs, cfg, fh, label):
+    """drive over the responses H (T, U), its loss_h reading the forward's
+    eps_h off probs (T, C)."""
     eps_h = iter(cross_entropy(probs, label).tolist()[1:])
-    driven = drive(list(H), cfg, lambda v: next(eps_h), lambda v: step_loss(fh, v, label))
-    return forward, driven
+    return drive(list(H), cfg, lambda v: next(eps_h), lambda v: step_loss(fh, v, label))
+
+
+def forward_against_drive(H, cfg, psh, fh, label):
+    """The live forward's recursion (_train_historical of a one-layer network
+    whose per-step and final heads are psh and fh, on a batch of one) and
+    drive's, over the responses H (T, U)."""
+    probs = head_predict(psh, H)
+    forward = _train_historical(one_layer_net(cfg, psh, fh), 0, H[None], probs[None],
+                                np.array([label]))[0]
+    return forward, drive_row(H, probs, cfg, fh, label)
 
 
 def assert_same_recursion(forward, driven):
@@ -588,6 +599,29 @@ class TestForwardMatchesDrive:
                 forward, driven = forward_against_drive(np.stack(hs), cfg, psh, fh, 1)
                 assert {"blend", "trunc"} <= {r.branch for r in forward.records}
                 assert_same_recursion(forward, driven)
+
+    @pytest.mark.parametrize("mode", WINDOW_MODES)
+    @pytest.mark.parametrize("policy", ALPHA_POLICIES)
+    def test_rows_with_different_labels(self, policy, mode):
+        # one piece of five rows, every class a label and no two neighbours
+        # alike: each row is drive's on it, and its own batch of one
+        rng = np.random.default_rng([33, len(policy), len(mode)])
+        psh, fh = init_head(rng, 3, 4), init_head(rng, 3, 4)
+        cfg = HistoricalConfig(tau=3, window_mode=mode, alpha_policy=policy)
+        net = one_layer_net(cfg, psh, fh)
+        H = rng.standard_normal((5, 12, 3)) * 3
+        probs = head_predict(psh, H)
+        labels = np.array([0, 1, 2, 3, 1])
+        hists = _train_historical(net, 0, H, probs, labels)
+        assert len(hists) == len(labels)
+        branches = set()
+        for b, label in enumerate(labels.tolist()):
+            driven = drive_row(H[b], probs[b], cfg, fh, label)
+            assert_same_recursion(hists[b], driven)
+            alone = _train_historical(net, 0, H[b:b + 1], probs[b:b + 1], labels[b:b + 1])
+            assert_same_recursion(hists[b], alone[0])
+            branches |= {r.branch for r in driven.records}
+        assert {"blend", "trunc"} <= branches
 
 
 class TestReplay:

@@ -717,6 +717,22 @@ class TestBackwardSequence:
             else:
                 assert np.array_equal(grads[name], np.zeros_like(arr))
 
+    @pytest.mark.parametrize("use_historical", [False, True])
+    def test_an_evaluation_trace_is_refused(self, use_historical):
+        # an evaluation trace keeps no gates, and a plain network's scores
+        # no step: each refusal asks for a training-mode trace
+        net = tiny_net(seed=31, units=(3,), use_historical=use_historical)
+        X = np.random.default_rng(32).standard_normal((5, 2))
+        trace = forward_sequence(net, X)
+        with pytest.raises(ValueError, match="^backward_sequence needs a training-mode trace"):
+            backward_sequence(net, trace, 1, lambda_aux=0.5, l2=0.004)
+        assert np.isfinite(total_loss(net, trace, 1, lambda_aux=0.0, l2=0.004))
+        if use_historical:  # its layer's steps are scored for the recursion
+            assert np.isfinite(total_loss(net, trace, 1, lambda_aux=0.5, l2=0.004))
+        else:
+            with pytest.raises(ValueError, match="^lambda_aux != 0 needs a training-mode trace"):
+                total_loss(net, trace, 1, lambda_aux=0.5, l2=0.004)
+
     def test_gradients_vanish_at_confident_optimum(self):
         net = tiny_net(seed=28)
         net.final_head.c[0] += 200.0

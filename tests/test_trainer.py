@@ -434,19 +434,26 @@ class TestBatchGradients:
 class TestTrainingBatches:
     """_batch_gradients' training forwards over runs of equal-length rows."""
 
-    def test_pieces_are_runs_of_one_length_within_the_budget(self, monkeypatch):
+    def test_pieces_are_runs_of_one_length_within_the_budget(self):
+        # training's order, shuffled, and evaluate's, stably sorted by length;
+        # budget 10 caps T = 1, 2, 5, 9 and 17 at 10, 5, 2, 1 and 1 rows,
+        # budget 40 with 3 rows at 3, 3, 3, 3 and 2
         ds = mixed_length_dataset(seed=3)
-        order = np.random.default_rng(4).permutation(len(ds))
-        monkeypatch.setattr(trainer, "TRAIN_STEP_BUDGET", 10)  # 10, 5, 2, 1 and 1 rows
-        pieces = list(trainer._equal_length_runs(ds, order))
-        assert [i for piece in pieces for i in piece] == order.tolist()
-        for piece, after in zip(pieces, pieces[1:] + [None]):
-            T = ds.sequences[piece[0]].T
-            assert {ds.sequences[i].T for i in piece} == {T}
-            cap = max(1, 10 // T)
-            assert len(piece) <= cap
-            if after is not None and ds.sequences[after[0]].T == T:
-                assert len(piece) == cap  # a run is cut only at the budget
+        shuffled = np.random.default_rng(4).permutation(len(ds)).tolist()
+        by_length = sorted(range(len(ds)), key=lambda i: ds.sequences[i].T)
+        for (rows, budget), order in itertools.product([(16, 10), (3, 40)], [shuffled, by_length]):
+            pieces = list(trainer._pieces(ds, order, rows, budget))
+            assert [i for piece in pieces for i in piece] == order
+            for piece, after in zip(pieces, pieces[1:] + [None]):
+                T = ds.sequences[piece[0]].T
+                assert {ds.sequences[i].T for i in piece} == {T}
+                cap = max(1, min(rows, budget // T))
+                assert len(piece) <= cap
+                if after is not None and ds.sequences[after[0]].T == T:
+                    assert len(piece) == cap  # a run is cut only at the cap
+            if order is by_length:  # one run per length
+                caps = [max(1, min(rows, budget // T)) for T in (1, 2, 5, 9, 17)]
+                assert len(pieces) == sum(-(-7 // cap) for cap in caps)
 
     def test_default_piece_rule(self, monkeypatch):
         """The real constants: 16 rows at T=30, 2 at T=480 and 1 at T=1000,
@@ -496,16 +503,16 @@ class TestTrainingBatches:
 
     def test_a_refused_batch_restores_the_generator_and_runs_its_rows_alone(self, monkeypatch):
         # the batch forward draws from the generator, then raises: the rows
-        # rerun one sequence at a time from the state before it, and give
-        # the bits of one-row pieces
+        # rerun one sequence at a time from the state before it, none fails,
+        # and the batch's own error is raised
         ds = separable_dataset(n_per_class=3)
         cfg = tiny_cfg(layer_units=(4, 3), dropout_p=0.3, use_historical=True)
         net = cfg.build(np.random.default_rng(3), ds.dim, ds.n_classes)
         batch = [4, 0, 5, 2, 1]
-        with monkeypatch.context() as m:
-            m.setattr(trainer, "TRAIN_STEP_BUDGET", 1)
-            ref_rng = np.random.default_rng(6)
-            want = _batch_gradients(net, ds, batch, cfg, ref_rng)
+        ref_rng = np.random.default_rng(6)
+        for idx in batch:
+            seq = ds.sequences[idx]
+            forward_sequence(net, seq.frames, label=seq.label, training=True, rng=ref_rng)
         real, shapes = trainer.forward_sequence, []
 
         def refuse_batches(net, x, label=None, training=False, rng=None, replay_from=None):
@@ -517,10 +524,10 @@ class TestTrainingBatches:
 
         monkeypatch.setattr(trainer, "forward_sequence", refuse_batches)
         rng = np.random.default_rng(6)
-        got = _batch_gradients(net, ds, batch, cfg, rng)
+        with pytest.raises(ValueError, match="^batch refused$"):
+            _batch_gradients(net, ds, batch, cfg, rng)
         assert shapes == [(5, 5, 6)] + [(5, 6)] * 5
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
     def test_nan_in_a_later_row_names_it(self):
         ds = separable_dataset(n_per_class=3)
